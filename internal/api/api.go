@@ -15,16 +15,7 @@
 // re-enqueued and resume from their journal, replaying finished units
 // bit-identically — the CLI's -resume become server-side crash recovery.
 //
-// The job lifecycle state machine (DESIGN §10, §13):
-//
-//	submit ─► queued ─► running ─► done
-//	             │          │    ─► failed
-//	             │          │    ─► canceled
-//	             │          ├─► suspended ─► queued  (preempted by a higher-
-//	             │          │                         priority job; resumes
-//	             │          │                         from its journal)
-//	             │          └─► queued        (server shutdown / crash;
-//	             └─► canceled                  re-enqueued on next boot)
+// The job lifecycle is one transition table: lifecycle.go, DESIGN §10.1.
 //
 // Progress is scoped strictly per job: counters are fed from the job's
 // own runner events and its own journal's replay observer, never from the
@@ -260,21 +251,20 @@ type job struct {
 	// spec.DeadlineMS at admission/recovery; zero means none.
 	deadline time.Time
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// state and cause change only through lifecycle.go; cancel is the
+	// current run's context cancel, set by start and cleared when the run
+	// ends.
 	state        JobState
+	cause        stopCause
+	cancel       func()
 	started      time.Time
 	finished     time.Time
 	errMsg       string
 	resumedUnits int
 	recovered    bool // re-enqueued by boot-time recovery
-	canceled     bool // cancel requested (DELETE)
-	// preempted marks a cooperative cancel issued by the preemption
-	// scheduler (not a DELETE, not a drain): the run unwinds at its next
-	// boundary and the job suspends instead of finishing.
-	preempted bool
 	// preemptions counts how many times this job was suspended.
 	preemptions int
-	cancel      func()
 	result      *Result
 	cached      bool   // result served from the cache / a leader's run
 	cacheSource string // job whose execution produced the renders
@@ -284,46 +274,38 @@ type job struct {
 	// update or state transition.
 	watchers map[chan struct{}]struct{}
 
-	// Fleet-mode fields. enqueued marks a job sitting on (or claimed off)
-	// the local work channel, so the claim scanner never double-enqueues;
-	// fenced marks a run whose lease was superseded mid-flight (the
-	// heartbeat's onFenced) — its outcome must not be persisted; hold is
-	// the live lease handle while this process runs the job.
-	enqueued bool
-	fenced   bool
+	// hold is the live lease handle while this process owns the job in
+	// fleet mode; holdStop ends the keep-alive of a hold taken ahead of
+	// the run (a preempting arrival's claim, see maybePreempt).
 	hold     *lease.Handle
+	holdStop func()
 
-	// follower marks a job attached to an identical in-flight job on this
-	// server (non-fleet dedup); it holds an admission depth slot but no
-	// work-channel slot. Guarded by Server.mu, not job.mu — attach,
-	// promotion, and release all happen inside the server's dedup
-	// registries.
+	// Queue and registry membership, guarded by Server.mu (not job.mu).
+	// enqueued marks a job on the local queue or in a local worker's
+	// hands, so no path enqueues it twice; follower marks a job attached
+	// to an identical in-flight job on this server (non-fleet dedup) — it
+	// holds an admission depth slot but no queue entry.
+	enqueued bool
 	follower bool
 }
 
-// isFenced reports whether the job's lease was superseded mid-run.
-func (j *job) isFenced() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fenced
-}
-
-// isPreempted reports whether the preemption scheduler cancelled the
-// job's current run.
-func (j *job) isPreempted() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.preempted
-}
-
-// setState transitions the job, emits the lifecycle trace event, and
-// wakes SSE watchers.
-func (j *job) setState(s JobState, detail string) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-	j.trace.Emit(telemetry.Event{Kind: "api.job." + string(s), ID: j.id, Detail: detail})
-	j.notify()
+// newJob builds the in-memory job for a stored (or just-admitted) record.
+// The job is unborn: its first lifecycle event (admit, recover, install)
+// gives it a state.
+func newJob(rec JobRecord, eventsCap int) *job {
+	jb := &job{
+		id:          rec.ID,
+		client:      rec.Client,
+		spec:        rec.Spec,
+		created:     time.Unix(0, rec.CreatedUnixNS),
+		fingerprint: rec.Spec.ConfigFingerprint(),
+		trace:       telemetry.NewTrace(eventsCap),
+	}
+	jb.enqueuedAt = jb.created
+	if jb.spec.DeadlineMS > 0 {
+		jb.deadline = jb.created.Add(time.Duration(jb.spec.DeadlineMS) * time.Millisecond)
+	}
+	return jb
 }
 
 // watch subscribes to the job's change notifications: the returned
@@ -395,30 +377,31 @@ type Status struct {
 func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		ID:            j.id,
-		Client:        j.client,
-		State:         j.state,
-		Spec:          j.spec,
-		CreatedUnixNS: j.created.UnixNano(),
-		Progress:      j.prog.snapshot(len(j.spec.Experiments)),
-		ResumedUnits:  j.resumedUnits,
-		Recovered:     j.recovered,
-		Preemptions:   j.preemptions,
-		Error:         j.errMsg,
-		Cached:        j.cached,
-		CacheSource:   j.cacheSource,
+	return Status{
+		ID:             j.id,
+		Client:         j.client,
+		State:          j.state,
+		Spec:           j.spec,
+		CreatedUnixNS:  j.created.UnixNano(),
+		StartedUnixNS:  unixNS(j.started),
+		FinishedUnixNS: unixNS(j.finished),
+		Progress:       j.prog.snapshot(len(j.spec.Experiments)),
+		ResumedUnits:   j.resumedUnits,
+		Recovered:      j.recovered,
+		Preemptions:    j.preemptions,
+		DeadlineUnixNS: unixNS(j.deadline),
+		Error:          j.errMsg,
+		Cached:         j.cached,
+		CacheSource:    j.cacheSource,
 	}
-	if !j.deadline.IsZero() {
-		st.DeadlineUnixNS = j.deadline.UnixNano()
+}
+
+// unixNS is t in Unix nanoseconds, or 0 for the zero time.
+func unixNS(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
 	}
-	if !j.started.IsZero() {
-		st.StartedUnixNS = j.started.UnixNano()
-	}
-	if !j.finished.IsZero() {
-		st.FinishedUnixNS = j.finished.UnixNano()
-	}
-	return st
+	return t.UnixNano()
 }
 
 // Result is a job's terminal record, persisted as result.json in the job

@@ -149,78 +149,55 @@ func (s *Server) cacheLookup(fp string) *CacheEntry {
 	return e
 }
 
-// finishFromCache completes jb from a cache entry without executing it:
-// the entry's renders become the job's terminal Result, marked Cached
-// with the source job's ID. The result write goes through commitResult,
-// so in fleet mode it is still fenced by the job's lease.
+// finishFromCache completes jb from a cache entry without executing it.
 func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
+	s.finishShared(jb, &Result{ID: e.SourceJob, Renders: e.Renders, Attempts: e.Attempts, Units: e.Units},
+		"api.job.cache_hit", "served from cached execution of ",
+		func(h *Hooks) *telemetry.Counter { return h.CacheHits })
+}
+
+// serveFollower completes a follower from its leader's just-finished
+// result — the in-flight analogue of finishFromCache.
+func (s *Server) serveFollower(f *job, src *Result) {
+	s.finishShared(f, src, "api.job.cache_followed", "served from in-flight execution of ",
+		func(h *Hooks) *telemetry.Counter { return h.CacheFollowed })
+}
+
+// finishShared completes jb from another job's execution (src): src's
+// render maps become jb's terminal Result, marked Cached with the source
+// job's ID, so both tenants' renders are byte-identical. The write goes
+// through commitResult, so in fleet mode it is still fenced by the job's
+// lease.
+func (s *Server) finishShared(jb *job, src *Result, kind, detail string, counter func(*Hooks) *telemetry.Counter) {
 	jb.mu.Lock()
 	if jb.state.terminal() {
 		jb.mu.Unlock()
 		return
 	}
-	jb.finished = s.now()
-	jb.cached = true
-	jb.cacheSource = e.SourceJob
 	res := &Result{
-		ID:          jb.id,
-		State:       StateDone,
-		Renders:     e.Renders,
-		Attempts:    e.Attempts,
-		Units:       e.Units,
-		Cached:      true,
-		CacheSource: e.SourceJob,
+		ID:             jb.id,
+		State:          StateDone,
+		Renders:        src.Renders,
+		Attempts:       src.Attempts,
+		Units:          src.Units,
+		StartedUnixNS:  unixNS(jb.started),
+		FinishedUnixNS: s.now().UnixNano(),
+		Cached:         true,
+		CacheSource:    src.ID,
 	}
-	if !jb.started.IsZero() {
-		res.StartedUnixNS = jb.started.UnixNano()
-	}
-	res.FinishedUnixNS = jb.finished.UnixNano()
-	jb.result = res
 	jb.mu.Unlock()
 
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.CacheHits })
-	jb.trace.Emit(telemetry.Event{Kind: "api.job.cache_hit", ID: jb.id,
-		Detail: "served from cached execution of " + e.SourceJob})
+	hookInc(counter)
+	jb.trace.Emit(telemetry.Event{Kind: kind, ID: jb.id, Detail: detail + src.ID})
 	s.commitResult(jb, res)
 }
 
-// serveFollower completes a follower from the leader's just-finished
-// result — the in-flight analogue of finishFromCache, sharing the same
-// render maps so both tenants' results are byte-identical.
-func (s *Server) serveFollower(f *job, src *Result) {
-	f.mu.Lock()
-	if f.state.terminal() {
-		f.mu.Unlock()
-		return
-	}
-	f.finished = s.now()
-	f.cached = true
-	f.cacheSource = src.ID
-	res := &Result{
-		ID:          f.id,
-		State:       StateDone,
-		Renders:     src.Renders,
-		Attempts:    src.Attempts,
-		Units:       src.Units,
-		Cached:      true,
-		CacheSource: src.ID,
-	}
-	res.FinishedUnixNS = f.finished.UnixNano()
-	f.result = res
-	f.mu.Unlock()
-
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.CacheFollowed })
-	f.trace.Emit(telemetry.Event{Kind: "api.job.cache_followed", ID: f.id,
-		Detail: "served from in-flight execution of " + src.ID})
-	s.commitResult(f, res)
-}
-
 // dedupLeader returns the job that should execute fingerprint fp: the
-// lowest-ID non-terminal, non-canceled job with that fingerprint. Job IDs
-// are minted by one store-level counter, so every fleet worker computes
-// the same leader from its mirror of the store — the rule needs no
-// coordination beyond the scanner that already exists. nil when no
-// live job carries fp.
+// lowest-ID job with that fingerprint that is neither terminal nor
+// canceling. Job IDs are minted by one store-level counter, so every
+// fleet worker computes the same leader from its mirror of the store —
+// the rule needs no coordination beyond the scanner that already exists.
+// nil when no live job carries fp.
 func (s *Server) dedupLeader(fp string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,7 +215,7 @@ func (s *Server) dedupLeaderLocked(fp string) *job {
 			continue
 		}
 		jb.mu.Lock()
-		live := !jb.state.terminal() && !jb.canceled
+		live := !jb.state.terminal() && jb.cause != causeCancel
 		jb.mu.Unlock()
 		if live {
 			return jb

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"voltsmooth/internal/experiments"
@@ -21,21 +23,22 @@ import (
 // process-global telemetry hooks, so concurrent jobs cannot bleed into
 // each other's counters.
 func (s *Server) runJob(jb *job) {
+	// The worker's hold on the job ends with this call, unless the job is
+	// handed to the follower registry below. Registered first, so it runs
+	// after every other defer.
+	following := false
+	defer func() {
+		if !following {
+			s.putBack(jb)
+		}
+	}()
 	if s.cfg.BeforeJob != nil {
 		s.cfg.BeforeJob(jb.id)
 	}
 
-	jb.mu.Lock()
-	if jb.state.terminal() {
+	if jb.currentState().terminal() {
 		// Canceled while queued (DELETE wrote the result already) — or a
 		// recovered duplicate. Nothing to run.
-		jb.mu.Unlock()
-		return
-	}
-	canceled := jb.canceled
-	jb.mu.Unlock()
-	if canceled {
-		s.finishJob(jb, StateCanceled, "canceled before start", nil, nil)
 		return
 	}
 
@@ -44,48 +47,23 @@ func (s *Server) runJob(jb *job) {
 	// lease, a busy lock) just sends the job back to the scanner.
 	var hold *lease.Handle
 	if s.leases != nil {
-		defer func() {
-			jb.mu.Lock()
-			jb.enqueued = false
-			jb.hold = nil
-			jb.mu.Unlock()
-		}()
-		h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
-		if err != nil {
-			if errors.Is(err, lease.ErrHeld) || errors.Is(err, lease.ErrLockBusy) {
-				jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: firstLine(err)})
-			} else {
-				s.logf("job %s: claim: %v", jb.id, err)
-			}
-			// A suspended job whose resume lost the claim race (a peer is
-			// already resuming it) steps back to queued — the worker loop
-			// only requeues suspended jobs, and a hot requeue here would
-			// spin against the peer's lease until it finished.
-			jb.mu.Lock()
-			if jb.state == StateSuspended {
-				jb.state = StateQueued
-			}
-			jb.mu.Unlock()
+		if hold = s.claim(jb); hold == nil {
 			return
 		}
-		hold = h
-		jb.mu.Lock()
-		jb.hold = hold
-		jb.fenced = false
-		jb.mu.Unlock()
 		defer func() {
 			// A suspension releases "for requeue": the reason lands in the
 			// lease history, and the released lease is what lets ANY fleet
 			// peer (not just this worker) resume the suspended job.
 			reason := ""
-			jb.mu.Lock()
-			if jb.state == StateSuspended {
+			if jb.currentState() == StateSuspended {
 				reason = "preempted"
 			}
-			jb.mu.Unlock()
 			if err := hold.ReleaseFor(reason); err != nil && !errors.Is(err, lease.ErrFenced) {
 				s.logf("job %s: release lease: %v (peers take over at TTL expiry)", jb.id, err)
 			}
+			jb.mu.Lock()
+			jb.hold = nil
+			jb.mu.Unlock()
 		}()
 		s.logf("job %s: claimed (epoch %d)", jb.id, hold.Epoch())
 
@@ -96,6 +74,13 @@ func (s *Server) runJob(jb *job) {
 			s.adoptResult(jb, res)
 			return
 		}
+	}
+	if jb.pendingStop() == causeCancel {
+		// Cancel requested while the job was off a worker (its terminal
+		// write was fenced, or a run ended for a stronger cause): finish
+		// it now, through the lease just claimed.
+		s.finishJob(jb, StateCanceled, "canceled before start", nil, nil)
+		return
 	}
 
 	if s.cacheEnabled() {
@@ -117,16 +102,19 @@ func (s *Server) runJob(jb *job) {
 		if s.leases == nil {
 			s.mu.Lock()
 			if l := s.dedupLeaderLocked(jb.fingerprint); l != nil && l != jb {
+				// Membership moves from this worker's hands to the follower
+				// registry. The follower keeps holding an admission depth
+				// slot (its queue slot was consumed at dequeue), so
+				// queue-full backpressure still bounds total unfinished work.
+				following = true
+				jb.enqueued = false
 				jb.follower = true
 				s.followers[jb.fingerprint] = append(s.followers[jb.fingerprint], jb)
-				// The follower keeps holding an admission depth slot (its
-				// channel slot was consumed at dequeue), so queue-full
-				// backpressure still bounds total unfinished work.
 				s.depth++
 				depth := s.depth
 				s.mu.Unlock()
 				hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
-				jb.setState(StateQueued, "following identical in-flight job "+l.id)
+				jb.fire(evFollow, "", "following identical in-flight job "+l.id, nil)
 				hookTrace(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
 				return
 			}
@@ -136,7 +124,7 @@ func (s *Server) runJob(jb *job) {
 			s.inflight[jb.fingerprint] = jb
 			s.mu.Unlock()
 		} else if l := s.dedupLeader(jb.fingerprint); l != nil && l != jb {
-			jb.setState(StateQueued, "following identical in-flight job "+l.id)
+			jb.fire(evFollow, "", "following identical in-flight job "+l.id, nil)
 			hookTrace(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
 			return
 		}
@@ -182,11 +170,15 @@ func (s *Server) runJob(jb *job) {
 		defer dcancel()
 	}
 
-	jb.mu.Lock()
-	jb.cancel = cancel
-	jb.started = s.now()
-	jb.mu.Unlock()
-	jb.setState(StateRunning, "")
+	if !jb.fire(evStart, "", "", func() {
+		jb.cancel = cancel
+		jb.started = s.now()
+	}) {
+		// A DELETE landed since the checks above: it finished the job, or
+		// its cancel is pending and finishes it here.
+		s.finishJob(jb, StateCanceled, "canceled before start", nil, nil)
+		return
+	}
 	s.mu.Lock()
 	s.running[jb.id] = jb
 	s.mu.Unlock()
@@ -205,10 +197,9 @@ func (s *Server) runJob(jb *job) {
 		// and this run must abandon everything, terminal write included.
 		go hold.Keep(ctx, 0, jb.prog.units.Load, func(err error) {
 			s.logf("job %s: %v; abandoning run", jb.id, err)
-			jb.mu.Lock()
-			jb.fenced = true
-			jb.mu.Unlock()
-			cancel()
+			if _, cancel, ok := jb.request(causeFence); ok {
+				cancel()
+			}
 		})
 	}
 
@@ -222,7 +213,7 @@ func (s *Server) runJob(jb *job) {
 		for errors.Is(err, journal.ErrLocked) && ctx.Err() == nil {
 			if s.now().After(deadline) {
 				s.logf("job %s: journal still locked by another process after %s; requeueing", jb.id, 4*s.cfg.LeaseTTL)
-				jb.setState(StateQueued, "journal locked by another process")
+				jb.fire(evRunEnded, StateQueued, "journal locked by another process", nil)
 				return
 			}
 			// Wait the holder out without going deaf to cancellation: a
@@ -236,7 +227,7 @@ func (s *Server) runJob(jb *job) {
 		}
 	}
 	if err != nil {
-		if ctx.Err() != nil && jb.isCanceled() {
+		if ctx.Err() != nil && jb.pendingStop() == causeCancel {
 			// A DELETE landed while the journal was still locked (or while
 			// opening): that is a cancel, not a job failure.
 			s.finishJob(jb, StateCanceled, "canceled while opening journal", nil, nil)
@@ -245,7 +236,7 @@ func (s *Server) runJob(jb *job) {
 		if hold != nil && ctx.Err() != nil {
 			// Fenced or drained while waiting on the journal lock: not a
 			// job failure. Leave it queued for whoever owns it next.
-			jb.setState(StateQueued, "interrupted before journal open")
+			jb.fire(evRunEnded, StateQueued, "interrupted before journal open", nil)
 			return
 		}
 		s.finishJob(jb, StateFailed, fmt.Sprintf("open journal: %v", err), nil, nil)
@@ -292,38 +283,34 @@ func (s *Server) runJob(jb *job) {
 		renders[r.ID] = r.Renderer.Render()
 	}
 
+	cause := jb.pendingStop()
 	switch {
-	case jb.isFenced():
+	case cause == causeFence:
 		// A successor claimed the job while this run was paused or stalled.
 		// Nothing here may be persisted — the successor's run is the truth.
 		// Revert to queued; the scanner adopts the successor's result.
-		jb.setState(StateQueued, "lease fenced; a successor owns this job")
+		jb.fire(evRunEnded, StateQueued, "lease fenced; a successor owns this job", nil)
 		hookTrace(telemetry.Event{Kind: "api.job.fenced", ID: jb.id})
 		s.logf("job %s: fenced after %d units; discarding this run's outcome", jb.id, jb.prog.units.Load())
-	case runErr != nil && errors.Is(s.jobsCtx.Err(), context.Canceled) && !jb.isCanceled():
+	case runErr != nil && errors.Is(s.jobsCtx.Err(), context.Canceled) && cause != causeCancel:
 		// The server is shutting down, not the job failing: revert to
 		// queued. No result.json is written, so the next boot re-enqueues
 		// the job and its journal resumes every completed unit.
-		jb.setState(StateQueued, "server shutdown; will resume from journal")
+		jb.fire(evRunEnded, StateQueued, "server shutdown; will resume from journal", nil)
 		hookTrace(telemetry.Event{Kind: "api.job.requeued", ID: jb.id, Detail: "shutdown"})
 		s.logf("job %s: interrupted by shutdown after %d units; resumable", jb.id, jb.prog.units.Load())
-	case jb.isCanceled():
+	case cause == causeCancel:
 		s.finishJob(jb, StateCanceled, "canceled", renders, attempts)
-	case runErr != nil && jb.isPreempted():
+	case runErr != nil && cause == causePreempt:
 		// Preempted by a higher-priority arrival: the run unwound at a run
 		// boundary with its journal checkpoint intact. Suspend — not
-		// terminal, no result.json — and let the worker loop requeue it
-		// (after this frame's defers release the lease in fleet mode, so a
-		// peer may just as well resume it). The journal must be healthy
-		// for the resume to replay; a poisoned one still resumes, it just
+		// terminal, no result.json — and let putBack requeue it (after
+		// this frame's defers release the lease in fleet mode, so a peer
+		// may just as well resume it). The journal must be healthy for the
+		// resume to replay; a poisoned one still resumes, it just
 		// re-executes (the same degradation crash recovery accepts).
-		jb.mu.Lock()
-		jb.preempted = false
-		jb.cancel = nil
-		jb.preemptions++
-		n := jb.preemptions
-		jb.mu.Unlock()
-		jb.setState(StateSuspended, "preempted; checkpoint kept, will resume")
+		var n int
+		jb.fire(evRunEnded, StateSuspended, "preempted; checkpoint kept, will resume", func() { n = jb.preemptions })
 		hookInc(func(h *Hooks) *telemetry.Counter { return h.Preempted })
 		hookTrace(telemetry.Event{Kind: "api.job.suspended", ID: jb.id, Value: float64(n)})
 		s.logf("job %s: suspended after %d units (preemption #%d, journal %s)",
@@ -335,6 +322,39 @@ func (s *Server) runJob(jb *job) {
 	default:
 		s.finishJob(jb, StateDone, "", renders, attempts)
 	}
+}
+
+// claim takes ownership of jb's lease for a run: the hold a preempting
+// arrival took ahead of time (holdAhead), or a fresh claim under the store
+// flock. It returns nil when a peer owns the job; a suspended job whose
+// resume lost the race steps back to queued — the worker only requeues
+// suspended jobs, and a hot requeue would spin against the peer's lease
+// until it finished.
+func (s *Server) claim(jb *job) *lease.Handle {
+	jb.mu.Lock()
+	h, stopAhead := jb.hold, jb.holdStop
+	jb.holdStop = nil
+	jb.mu.Unlock()
+	if stopAhead != nil {
+		stopAhead()
+	}
+	if h != nil {
+		return h
+	}
+	h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
+	if err != nil {
+		if errors.Is(err, lease.ErrHeld) || errors.Is(err, lease.ErrLockBusy) {
+			jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: firstLine(err)})
+		} else {
+			s.logf("job %s: claim: %v", jb.id, err)
+		}
+		jb.fire(evClaimLost, "", "claim lost; a peer is resuming the job", nil)
+		return nil
+	}
+	jb.mu.Lock()
+	jb.hold = h
+	jb.mu.Unlock()
+	return h
 }
 
 // openSession opens the job's config-hash-pinned journal (creating or
@@ -415,13 +435,6 @@ func (s *Server) jobObserver(jb *job) func(runner.Event) {
 	}
 }
 
-// isCanceled reports whether a cancel was requested for the job.
-func (j *job) isCanceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.canceled
-}
-
 // finishJob builds a terminal result from the job's own run and commits
 // it (persist + transition) via commitResult.
 func (s *Server) finishJob(jb *job, state JobState, errMsg string, renders map[string]string, attempts map[string]int) {
@@ -432,22 +445,17 @@ func (s *Server) finishJob(jb *job, state JobState, errMsg string, renders map[s
 		jb.mu.Unlock()
 		return
 	}
-	jb.finished = s.now()
-	jb.errMsg = errMsg
 	res := &Result{
-		ID:           jb.id,
-		State:        state,
-		Error:        errMsg,
-		Renders:      renders,
-		Attempts:     attempts,
-		ResumedUnits: jb.resumedUnits,
-		Units:        jb.prog.units.Load(),
+		ID:             jb.id,
+		State:          state,
+		Error:          errMsg,
+		Renders:        renders,
+		Attempts:       attempts,
+		ResumedUnits:   jb.resumedUnits,
+		Units:          jb.prog.units.Load(),
+		StartedUnixNS:  unixNS(jb.started),
+		FinishedUnixNS: s.now().UnixNano(),
 	}
-	if !jb.started.IsZero() {
-		res.StartedUnixNS = jb.started.UnixNano()
-	}
-	res.FinishedUnixNS = jb.finished.UnixNano()
-	jb.result = res
 	jb.mu.Unlock()
 	s.commitResult(jb, res)
 }
@@ -495,14 +503,7 @@ func (s *Server) commitResult(jb *job, res *Result) {
 		werr = hold.Guard(publish)
 		if errors.Is(werr, lease.ErrFenced) {
 			s.logf("job %s: terminal write REJECTED by fence: %v", jb.id, werr)
-			jb.mu.Lock()
-			jb.fenced = true
-			jb.result = nil
-			jb.finished = time.Time{}
-			jb.cached = false
-			jb.cacheSource = ""
-			jb.mu.Unlock()
-			jb.setState(StateQueued, "terminal write fenced; successor owns the job")
+			jb.fire(evWriteFenced, "", "terminal write fenced; successor owns the job", nil)
 			hookTrace(telemetry.Event{Kind: "api.job.fenced", ID: jb.id, Detail: "terminal write rejected"})
 			return
 		}
@@ -515,7 +516,7 @@ func (s *Server) commitResult(jb *job, res *Result) {
 		// identically — wasteful, not wrong.
 		s.logf("job %s: persist result: %v (job will re-run on next boot)", jb.id, werr)
 	}
-	jb.setState(res.State, res.Error)
+	jb.end(res)
 	hookTrace(telemetry.Event{Kind: "api.job." + string(res.State), ID: jb.id, Detail: res.Error})
 	switch res.State {
 	case StateDone:
@@ -565,19 +566,11 @@ func (s *Server) settle(jb *job, res *Result) {
 		jb.follower = false
 		s.depth--
 	}
-	if fs := s.followers[fp]; len(fs) > 0 {
-		// Detach jb wherever it sits in the follower list.
-		kept := fs[:0]
-		for _, f := range fs {
-			if f != jb {
-				kept = append(kept, f)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.followers, fp)
-		} else {
-			s.followers[fp] = kept
-		}
+	// Detach jb wherever it sits in the follower list.
+	if kept := slices.DeleteFunc(s.followers[fp], func(f *job) bool { return f == jb }); len(kept) > 0 {
+		s.followers[fp] = kept
+	} else {
+		delete(s.followers, fp)
 	}
 	if s.inflight[fp] == jb {
 		delete(s.inflight, fp)
@@ -613,7 +606,7 @@ func (s *Server) settle(jb *job, res *Result) {
 			Detail: "leader " + jb.id + " finished " + string(res.State) + " without a shareable result"})
 		// The promoted follower keeps the depth slot it already holds, so
 		// this enqueue does not bump depth.
-		s.enqueue(promote)
+		s.enqueue(promote, false)
 	}
 }
 
@@ -622,11 +615,6 @@ func firstLine(err error) string {
 	if err == nil {
 		return ""
 	}
-	msg := err.Error()
-	for i := 0; i < len(msg); i++ {
-		if msg[i] == '\n' {
-			return msg[:i]
-		}
-	}
-	return msg
+	line, _, _ := strings.Cut(err.Error(), "\n")
+	return line
 }

@@ -69,9 +69,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// drain budget actually remaining, since a restart (or a fleet peer)
 	// can be serving well within it.
 	if s.isDraining() {
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Unavailable })
-		w.Header().Set("Retry-After", s.retryAfterDraining())
-		writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit after restart")
+		s.refuseDraining(w)
 		return
 	}
 
@@ -103,7 +101,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	fp := spec.ConfigFingerprint()
 	if s.leases == nil {
 		if e := s.cacheLookup(fp); e != nil {
-			s.admitCached(w, client, spec, fp, e)
+			s.admitCached(w, client, spec, e)
 			return
 		}
 	}
@@ -117,9 +115,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Unavailable })
-		w.Header().Set("Retry-After", s.retryAfterDraining())
-		writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit after restart")
+		s.refuseDraining(w)
 		return
 	}
 	// Overload shedding (DESIGN §13): past the watermark, bulk work is
@@ -150,62 +146,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	depth := s.depth
 	s.mu.Unlock()
 
-	// The ID comes from the store's flock-guarded counter, not process
-	// memory: two fleet workers admitting concurrently can never mint the
-	// same sequence.
-	id, err := s.store.AllocateID()
+	jb, err := s.admit(client, spec)
 	if err != nil {
 		s.mu.Lock()
 		s.depth--
 		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("allocate job id: %v", err))
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	jb := &job{
-		id:          id,
-		client:      client,
-		spec:        spec,
-		created:     s.now(),
-		fingerprint: fp,
-		state:       StateQueued,
-		enqueued:    true,
-		trace:       telemetry.NewTrace(s.cfg.EventsCap),
-	}
-	jb.enqueuedAt = jb.created
-	if spec.DeadlineMS > 0 {
-		jb.deadline = jb.created.Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
-	}
-	s.mu.Lock()
-	s.jobs[id] = jb
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-
-	// Durability before acknowledgment: the job record reaches disk
-	// (fsynced) before the 202, so an acked job survives a crash and is
-	// re-enqueued by the next boot's recovery scan.
-	if err := s.store.CreateJob(JobRecord{
-		ID: id, Client: client, Spec: spec, CreatedUnixNS: jb.created.UnixNano(),
-	}); err != nil {
-		s.mu.Lock()
-		s.depth--
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("persist job: %v", err))
-		return
-	}
-
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.Admitted })
+	id := jb.id
 	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
-	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: id})
 	hookTrace(telemetry.Event{Kind: "api.job.queued", ID: id, Detail: client})
-	s.enqueue(jb)
-	s.maybePreempt(jb.rank())
+	s.enqueue(jb, false)
+	s.maybePreempt(jb)
 
 	w.Header().Set("Location", "/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
@@ -215,48 +168,62 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // execution: the job is created durably (an acked job survives a crash,
 // cached or not), completed from the entry on the spot, and acked 202
 // already terminal — no queue slot, no worker, no execution.
-func (s *Server) admitCached(w http.ResponseWriter, client string, spec JobSpec, fp string, e *CacheEntry) {
-	id, err := s.store.AllocateID()
+func (s *Server) admitCached(w http.ResponseWriter, client string, spec JobSpec, e *CacheEntry) {
+	jb, err := s.admit(client, spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("allocate job id: %v", err))
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	jb := &job{
-		id:          id,
-		client:      client,
-		spec:        spec,
-		created:     s.now(),
-		fingerprint: fp,
-		state:       StateQueued,
-		trace:       telemetry.NewTrace(s.cfg.EventsCap),
+	s.finishFromCache(jb, e)
+
+	w.Header().Set("Location", "/jobs/"+jb.id)
+	writeJSON(w, http.StatusAccepted, map[string]string{
+		"id": jb.id, "state": string(StateDone), "cached": "true", "cache_source": e.SourceJob,
+	})
+}
+
+// admit registers a new job in queued state. Durability comes before
+// acknowledgment: the job record reaches disk (fsynced) before any 202,
+// so an acked job survives a crash and is re-enqueued by the next boot's
+// recovery scan. The ID comes from the store's flock-guarded counter, not
+// process memory, so two fleet workers admitting concurrently can never
+// mint the same sequence. On a failed write the job is unregistered
+// again: it was never acked.
+func (s *Server) admit(client string, spec JobSpec) (*job, error) {
+	id, err := s.store.AllocateID()
+	if err != nil {
+		return nil, fmt.Errorf("allocate job id: %v", err)
 	}
+	rec := JobRecord{ID: id, Client: client, Spec: spec, CreatedUnixNS: s.now().UnixNano()}
+	jb := newJob(rec, s.cfg.EventsCap)
+	jb.fire(evAdmit, "", "", nil)
 	s.mu.Lock()
-	s.jobs[id] = jb
-	s.order = append(s.order, id)
+	s.jobs[rec.ID] = jb
+	s.order = append(s.order, rec.ID)
 	s.mu.Unlock()
-	if err := s.store.CreateJob(JobRecord{
-		ID: id, Client: client, Spec: spec, CreatedUnixNS: jb.created.UnixNano(),
-	}); err != nil {
+	if err := s.store.CreateJob(rec); err != nil {
 		s.mu.Lock()
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
+		delete(s.jobs, rec.ID)
+		for i, id := range s.order {
+			if id == rec.ID {
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				break
 			}
 		}
 		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("persist job: %v", err))
-		return
+		return nil, fmt.Errorf("persist job: %v", err)
 	}
 	hookInc(func(h *Hooks) *telemetry.Counter { return h.Admitted })
-	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: id})
-	s.finishFromCache(jb, e)
+	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: rec.ID})
+	return jb, nil
+}
 
-	w.Header().Set("Location", "/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"id": id, "state": string(StateDone), "cached": "true", "cache_source": e.SourceJob,
-	})
+// refuseDraining answers a submission to a draining server: 503 with a
+// Retry-After like every other backpressure path.
+func (s *Server) refuseDraining(w http.ResponseWriter) {
+	hookInc(func(h *Hooks) *telemetry.Counter { return h.Unavailable })
+	w.Header().Set("Retry-After", s.retryAfterDraining())
+	writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit after restart")
 }
 
 // retryAfterDraining derives the draining 503's Retry-After from the
@@ -395,54 +362,52 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleCancel cancels a job. Queued jobs are marked canceled immediately
 // and durably (the worker skips terminal jobs on dequeue); running jobs
 // get a cooperative cancel and unwind at their next run boundary. Terminal
-// jobs are left as-is (200, idempotent).
+// jobs are left as-is (200, idempotent). In fleet mode a queued job's
+// cancel first takes its lease, so the terminal write goes through the
+// same fence as any other; a refused claim is a 409 and requests nothing.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	jb.mu.Lock()
-	state := jb.state
-	jb.canceled = true
-	cancel := jb.cancel
-	jb.mu.Unlock()
-
-	switch {
-	case state.terminal():
-		// Idempotent: already finished, report the state it finished in.
-	case (state == StateQueued || state == StateSuspended) && s.leases != nil:
-		// Fleet mode: "queued" (or suspended awaiting resume) locally may
-		// be claimed by a peer. Take the lease first — the cancel's
-		// terminal write must go through the same fence as any other.
-		h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
-		if err != nil {
+	var h *lease.Handle
+	if st := jb.currentState(); s.leases != nil && (st == StateQueued || st == StateSuspended) {
+		var err error
+		if h, err = s.leases.Claim(s.store.jobDir(jb.id), jb.id); err != nil {
 			writeError(w, http.StatusConflict, fmt.Sprintf("job is owned by another worker; cancel there or retry: %v", err))
 			return
 		}
-		if res, lerr := s.store.LoadResult(jb.id); lerr == nil {
+		defer func() {
+			if err := h.Release(); err != nil && !errors.Is(err, lease.ErrFenced) {
+				s.logf("job %s: release after cancel: %v", jb.id, err)
+			}
+		}()
+		if res, err := s.store.LoadResult(jb.id); err == nil {
 			// A peer finished it in the meantime; its result stands.
 			s.adoptResult(jb, res)
-			state = res.State
-		} else {
-			jb.mu.Lock()
-			jb.hold = h
-			jb.mu.Unlock()
-			s.finishJob(jb, StateCanceled, "canceled while queued", nil, nil)
-			jb.mu.Lock()
-			jb.hold = nil
-			jb.mu.Unlock()
-			state = StateCanceled
+			writeJSON(w, http.StatusOK, map[string]string{"id": jb.id, "state": string(jb.currentState())})
+			return
 		}
-		if err := h.Release(); err != nil && !errors.Is(err, lease.ErrFenced) {
-			s.logf("job %s: release after cancel: %v", jb.id, err)
-		}
+	}
+
+	state, cancel, _ := jb.request(causeCancel)
+	switch {
+	case state.terminal():
+		// Idempotent: already finished, report the state it finished in.
 	case state == StateQueued || state == StateSuspended:
 		// Persist the terminal marker now, so the cancel survives a crash
 		// that happens before a worker dequeues the job. A suspended job is
 		// just a queued job with a checkpoint — cancel discards the resume.
+		// In fleet mode the write goes through the lease just claimed.
+		jb.mu.Lock()
+		jb.hold = h
+		jb.mu.Unlock()
 		s.finishJob(jb, StateCanceled, "canceled while queued", nil, nil)
-		state = StateCanceled
+		jb.mu.Lock()
+		jb.hold = nil
+		jb.mu.Unlock()
+		state = jb.currentState()
 	default:
 		if cancel != nil {
 			cancel()
@@ -490,10 +455,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil && !errors.Is(err, http.ErrBodyNotAllowed) {
-		// Client went away mid-encode; nothing to do.
-		_ = err
-	}
+	_ = enc.Encode(v) // a client gone mid-encode leaves nothing to do
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"context"
+	"slices"
 	"time"
 
 	"voltsmooth/internal/telemetry"
@@ -63,15 +65,44 @@ func pickBest(queue []*job, now time.Time, ageAfter time.Duration) int {
 	return best
 }
 
-// enqueue appends jb to the priority queue and wakes a worker. Depth
-// accounting belongs to the caller: admission reserved its slot before
-// calling, the scanner and suspend-requeue bump depth themselves, and a
-// promoted follower keeps the slot it already holds.
-func (s *Server) enqueue(jb *job) {
+// enqueue puts jb on the priority queue and wakes a worker, unless jb is
+// already queued or in a local worker's hands, terminal, or running: the
+// one guard every enqueue path shares. takeSlot takes a depth slot
+// WITHOUT a capacity check — re-admitting acked work must never shed it;
+// admission reserved its slot up front and a promoted follower keeps the
+// one it holds. It reports whether jb was enqueued.
+func (s *Server) enqueue(jb *job, takeSlot bool) bool {
 	s.mu.Lock()
-	s.queue = append(s.queue, jb)
+	st := jb.currentState()
+	ok := !jb.enqueued && !st.terminal() && st != StateRunning
+	if ok {
+		jb.enqueued = true
+		s.queue = append(s.queue, jb)
+		if takeSlot {
+			s.depth++
+		}
+	}
+	depth := s.depth
 	s.mu.Unlock()
-	s.signalWork()
+	if ok {
+		hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
+		s.signalWork()
+	}
+	return ok
+}
+
+// putBack ends a worker's hold on jb once runJob is done with it. A job
+// the run left suspended goes straight back on the queue: by then every
+// run defer (journal flock, fleet lease) has unwound, so any worker or
+// peer can claim it cleanly, and it keeps its original enqueuedAt — it
+// ages from its admission wait, not from zero.
+func (s *Server) putBack(jb *job) {
+	s.mu.Lock()
+	jb.enqueued = false
+	s.mu.Unlock()
+	if jb.currentState() == StateSuspended {
+		s.enqueue(jb, true)
+	}
 }
 
 // signalWork hands one wake token to the worker pool. The token channel
@@ -109,70 +140,63 @@ func (s *Server) dequeue() (*job, bool) {
 	jb := s.queue[i]
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	s.depth--
-	// Off the queue now: clear the flag so a later suspend can requeue.
-	// (In fleet mode the claim defer in runJob clears it again at exit;
-	// the brief false window is safe — a racing scanner enqueue just means
-	// the claim arbiter refuses the second runner.)
-	jb.mu.Lock()
-	jb.enqueued = false
-	jb.mu.Unlock()
+	// jb stays enqueued (in this worker's hands) until putBack.
 	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(s.depth))
 	return jb, false
 }
 
-// maybePreempt runs after a job of base rank newRank was enqueued: when
-// every worker slot is busy and some running job has a STRICTLY worse
-// base rank, the worst such victim (latest-started among equals) gets a
-// cooperative cancel flagged as preemption. The run unwinds at its next
-// run boundary — the same mechanism drain uses — persists its journal
-// checkpoint, and the job re-queues as suspended, resuming bit-identically
-// on its next pick (on any fleet worker: the victim's lease is released
-// for requeue). Strict inequality means equal-rank work never churns, and
-// an interactive job (rank 0) can never itself be preempted.
-func (s *Server) maybePreempt(newRank int) {
+// maybePreempt runs after arrival was enqueued: when every worker slot is
+// busy and some running job has a STRICTLY worse base rank, the worst
+// such victim (latest-started among equals) gets a preempt request. The
+// run unwinds at its next run boundary — the same mechanism drain uses —
+// persists its journal checkpoint, and the job re-queues as suspended,
+// resuming bit-identically on its next pick (on any fleet worker: the
+// victim's lease is released for requeue). Strict inequality means
+// equal-rank work never churns, and an interactive job (rank 0) can never
+// itself be preempted.
+//
+// In fleet mode a preemption fires only for an arrival this worker will
+// run: the arrival's lease is claimed first and held until runJob takes
+// it over. A refused claim (a peer got there first) preempts nothing.
+func (s *Server) maybePreempt(arrival *job) {
 	if !s.cfg.Preempt {
 		return
 	}
+	newRank := arrival.rank()
 	s.mu.Lock()
-	if len(s.running) < s.cfg.JobWorkers {
+	if len(s.running) < s.cfg.JobWorkers || !slices.Contains(s.queue, arrival) {
+		// A free slot takes the arrival, or one already has.
 		s.mu.Unlock()
 		return
 	}
 	var victim *job
+	var victimStarted time.Time
 	victimRank := newRank // must be strictly exceeded
 	for _, r := range s.running {
 		r.mu.Lock()
-		eligible := r.state == StateRunning && !r.canceled && !r.preempted && r.cancel != nil
+		eligible := r.state == StateRunning && r.cause == causeNone && r.cancel != nil
 		started := r.started
 		r.mu.Unlock()
-		if !eligible {
-			continue
-		}
 		rr := r.rank()
-		if rr < victimRank {
-			continue
-		}
-		if rr > victimRank || (victim != nil && started.After(victimStarted(victim))) {
-			victim = r
-			victimRank = rr
+		if eligible && (rr > victimRank || (rr == victimRank && victim != nil && started.After(victimStarted))) {
+			victim, victimStarted, victimRank = r, started, rr
 		}
 	}
 	s.mu.Unlock()
 	if victim == nil {
 		return
 	}
-
-	victim.mu.Lock()
-	// Re-check under the victim's lock: the run may have finished, been
-	// cancelled, or already been preempted since the scan.
-	if victim.state != StateRunning || victim.canceled || victim.preempted || victim.cancel == nil {
-		victim.mu.Unlock()
+	if s.leases != nil && !s.holdAhead(arrival) {
 		return
 	}
-	victim.preempted = true
-	cancel := victim.cancel
-	victim.mu.Unlock()
 
+	// The request re-checks eligibility under the victim's lock: the run
+	// may have finished, been cancelled, or already been preempted since
+	// the scan.
+	_, cancel, ok := victim.request(causePreempt)
+	if !ok {
+		return
+	}
 	victim.trace.Emit(telemetry.Event{Kind: "api.job.preempting", ID: victim.id,
 		Detail: "higher-priority arrival; suspending at next run boundary"})
 	hookTrace(telemetry.Event{Kind: "api.job.preempting", ID: victim.id})
@@ -180,39 +204,20 @@ func (s *Server) maybePreempt(newRank int) {
 	cancel()
 }
 
-func victimStarted(jb *job) time.Time {
-	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	return jb.started
-}
-
-// requeueSuspended puts a just-suspended job back on the queue. It runs
-// in the WORKER loop, after runJob's defers completed — the journal flock
-// and (in fleet mode) the lease are already released, so by the time the
-// job is pickable again, any worker or peer can claim it cleanly. The
-// original enqueuedAt is preserved (the job ages from its admission wait,
-// not from zero), and the depth slot it gave up at dequeue is re-taken
-// WITHOUT a capacity check — this is re-admission of already-admitted
-// work, and shedding it would lose an acked job. The enqueued guard keeps
-// a racing fleet scanner (which may have nominated the job the moment the
-// lease released) from double-enqueueing it; a DELETE that landed in the
-// window leaves the job terminal and it is not requeued.
-func (s *Server) requeueSuspended(jb *job) {
-	s.mu.Lock()
-	jb.mu.Lock()
-	ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning
-	if ok {
-		jb.enqueued = true
+// holdAhead claims jb's lease before jb runs and renews it until runJob
+// takes the hold over (see claim) or the server stops. A hold fenced in
+// the meantime is caught by the run's own heartbeat. It reports false
+// when a peer owns the job.
+func (s *Server) holdAhead(jb *job) bool {
+	h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
+	if err != nil {
+		jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: firstLine(err)})
+		return false
 	}
+	ctx, stop := context.WithCancel(s.jobsCtx)
+	jb.mu.Lock()
+	jb.hold, jb.holdStop = h, stop
 	jb.mu.Unlock()
-	if ok {
-		s.queue = append(s.queue, jb)
-		s.depth++
-	}
-	depth := s.depth
-	s.mu.Unlock()
-	if ok {
-		hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
-		s.signalWork()
-	}
+	go h.Keep(ctx, 0, nil, nil)
+	return true
 }

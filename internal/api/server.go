@@ -190,39 +190,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("api: Config.Store is required")
 	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 16
-	}
-	if cfg.JobWorkers <= 0 {
-		cfg.JobWorkers = 2
-	}
-	if cfg.DefaultSessionWorkers <= 0 {
-		cfg.DefaultSessionWorkers = 4
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = runner.DefaultMaxAttempts
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 1
-	}
-	if cfg.EventsCap <= 0 {
-		cfg.EventsCap = 4096
-	}
-	if cfg.SSEHeartbeat <= 0 {
-		cfg.SSEHeartbeat = 15 * time.Second
-	}
-	if cfg.SSEWriteTimeout <= 0 {
-		cfg.SSEWriteTimeout = 5 * time.Second
-	}
-	if cfg.AgeAfter <= 0 {
-		cfg.AgeAfter = 30 * time.Second
-	}
-	if cfg.ShedWatermark <= 0 {
-		cfg.ShedWatermark = cfg.QueueCap * 3 / 4
-		if cfg.ShedWatermark < 1 {
-			cfg.ShedWatermark = 1
-		}
-	}
+	orDefault(&cfg.QueueCap, 16)
+	orDefault(&cfg.JobWorkers, 2)
+	orDefault(&cfg.DefaultSessionWorkers, 4)
+	orDefault(&cfg.Retries, runner.DefaultMaxAttempts)
+	orDefault(&cfg.SyncEvery, 1)
+	orDefault(&cfg.EventsCap, 4096)
+	orDefault(&cfg.SSEHeartbeat, 15*time.Second)
+	orDefault(&cfg.SSEWriteTimeout, 5*time.Second)
+	orDefault(&cfg.AgeAfter, 30*time.Second)
+	orDefault(&cfg.ShedWatermark, max(cfg.QueueCap*3/4, 1))
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(format string, args ...any) {
@@ -238,12 +215,8 @@ func New(cfg Config) (*Server, error) {
 			host, _ := os.Hostname()
 			cfg.WorkerID = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		if cfg.LeaseTTL <= 0 {
-			cfg.LeaseTTL = 3 * time.Second
-		}
-		if cfg.ScanInterval <= 0 {
-			cfg.ScanInterval = cfg.LeaseTTL / 3
-		}
+		orDefault(&cfg.LeaseTTL, 3*time.Second)
+		orDefault(&cfg.ScanInterval, cfg.LeaseTTL/3)
 	}
 
 	s := &Server{
@@ -282,36 +255,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	var recovered []*job
 	for _, sj := range stored {
-		jb := &job{
-			id:          sj.Record.ID,
-			client:      sj.Record.Client,
-			spec:        sj.Record.Spec,
-			created:     time.Unix(0, sj.Record.CreatedUnixNS),
-			fingerprint: sj.Record.Spec.ConfigFingerprint(),
-			trace:       telemetry.NewTrace(cfg.EventsCap),
-		}
-		jb.enqueuedAt = jb.created
-		if jb.spec.DeadlineMS > 0 {
-			jb.deadline = jb.created.Add(time.Duration(jb.spec.DeadlineMS) * time.Millisecond)
-		}
-		if sj.Result != nil {
-			jb.state = sj.Result.State
-			jb.errMsg = sj.Result.Error
-			jb.result = sj.Result
-			jb.resumedUnits = sj.Result.ResumedUnits
-			jb.cached = sj.Result.Cached
-			jb.cacheSource = sj.Result.CacheSource
-			jb.prog.units.Store(sj.Result.Units)
-			if sj.Result.StartedUnixNS != 0 {
-				jb.started = time.Unix(0, sj.Result.StartedUnixNS)
-			}
-			if sj.Result.FinishedUnixNS != 0 {
-				jb.finished = time.Unix(0, sj.Result.FinishedUnixNS)
-			}
-			jb.prog.expDone.Store(uint64(len(sj.Result.Renders)))
-		} else {
-			jb.state = StateQueued
-			jb.recovered = true
+		jb := newJob(sj.Record, cfg.EventsCap)
+		if sj.Result == nil || !jb.install(sj.Result, "") {
+			jb.fire(evRecover, "", "", nil)
 			recovered = append(recovered, jb)
 		}
 		s.jobs[jb.id] = jb
@@ -326,10 +272,7 @@ func New(cfg Config) (*Server, error) {
 	// (signalWork) rather than losing the token.
 	s.wake = make(chan struct{}, cfg.QueueCap+len(recovered)+64)
 	for _, jb := range recovered {
-		s.depth++
-		jb.enqueued = true
-		s.queue = append(s.queue, jb)
-		s.signalWork()
+		s.enqueue(jb, true)
 		hookInc(func(h *Hooks) *telemetry.Counter { return h.Recovered })
 		jb.trace.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
 		hookTrace(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
@@ -346,6 +289,13 @@ func New(cfg Config) (*Server, error) {
 		go s.scanLoop()
 	}
 	return s, nil
+}
+
+// orDefault replaces a non-positive config value with its default.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // scanLoop is fleet mode's ownership pump: every ScanInterval it rescans
@@ -390,33 +340,22 @@ func (s *Server) scanOnce() {
 		if !known {
 			// A peer admitted this job; mirror it locally so /jobs serves
 			// it and the claim path below can pick it up.
-			jb = &job{
-				id:          id,
-				client:      sj.Record.Client,
-				spec:        sj.Record.Spec,
-				created:     time.Unix(0, sj.Record.CreatedUnixNS),
-				fingerprint: sj.Record.Spec.ConfigFingerprint(),
-				state:       StateQueued,
-				trace:       telemetry.NewTrace(s.cfg.EventsCap),
-			}
-			jb.enqueuedAt = jb.created
-			if jb.spec.DeadlineMS > 0 {
-				jb.deadline = jb.created.Add(time.Duration(jb.spec.DeadlineMS) * time.Millisecond)
-			}
+			jb = newJob(sj.Record, s.cfg.EventsCap)
+			jb.fire(evAdmit, "", "", nil)
 			s.jobs[id] = jb
 			s.order = append(s.order, id)
 		}
+		// The scanner's enqueues ride bounded headroom: past it, local
+		// workers are saturated and the next scan retries — the queue
+		// never grows without bound on peer work.
+		skip := jb.enqueued || s.depth >= s.cfg.QueueCap+64
 		s.mu.Unlock()
 
 		if sj.Result != nil {
 			s.adoptResult(jb, sj.Result)
 			continue
 		}
-
-		jb.mu.Lock()
-		skip := jb.state.terminal() || jb.state == StateRunning || jb.enqueued
-		jb.mu.Unlock()
-		if skip {
+		if st := jb.currentState(); skip || st.terminal() || st == StateRunning {
 			continue
 		}
 
@@ -441,29 +380,8 @@ func (s *Server) scanOnce() {
 			}
 		}
 
-		s.mu.Lock()
-		// The scanner's enqueues ride the same bounded headroom the old
-		// work channel gave them: past it, local workers are saturated and
-		// the next scan retries — the queue never grows without bound on
-		// peer work.
-		if s.depth >= s.cfg.QueueCap+64 {
-			s.mu.Unlock()
-			continue
-		}
-		jb.mu.Lock()
-		ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning
-		if ok {
-			jb.enqueued = true
-		}
-		jb.mu.Unlock()
-		if ok {
-			s.queue = append(s.queue, jb)
-			s.depth++
-		}
-		s.mu.Unlock()
-		if ok {
-			s.signalWork()
-			s.maybePreempt(jb.rank())
+		if s.enqueue(jb, true) {
+			s.maybePreempt(jb)
 		}
 	}
 }
@@ -473,45 +391,9 @@ func (s *Server) scanOnce() {
 // flip terminal; a locally running job is left alone — its own lease
 // heartbeat fences it if it truly lost the job.
 func (s *Server) adoptResult(jb *job, res *Result) {
-	jb.mu.Lock()
-	if jb.state.terminal() || jb.state == StateRunning {
-		jb.mu.Unlock()
-		return
+	if jb.install(res, "adopted from peer result") {
+		s.logf("job %s: adopted peer result (%s, %d units)", jb.id, res.State, res.Units)
 	}
-	jb.state = res.State
-	jb.errMsg = res.Error
-	jb.result = res
-	jb.resumedUnits = res.ResumedUnits
-	jb.cached = res.Cached
-	jb.cacheSource = res.CacheSource
-	jb.prog.units.Store(res.Units)
-	jb.prog.expDone.Store(uint64(len(res.Renders)))
-	if res.StartedUnixNS != 0 {
-		jb.started = time.Unix(0, res.StartedUnixNS)
-	}
-	if res.FinishedUnixNS != 0 {
-		jb.finished = time.Unix(0, res.FinishedUnixNS)
-	}
-	jb.trace.Emit(telemetry.Event{Kind: "api.job." + string(res.State), ID: jb.id, Detail: "adopted from peer result"})
-	jb.mu.Unlock()
-	jb.notify()
-	s.logf("job %s: adopted peer result (%s, %d units)", jb.id, res.State, res.Units)
-}
-
-// Recovering is reported by Status for observability; the count of jobs
-// the last boot re-enqueued.
-func (s *Server) recoveredCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, jb := range s.jobs {
-		jb.mu.Lock()
-		if jb.recovered {
-			n++
-		}
-		jb.mu.Unlock()
-	}
-	return n
 }
 
 // worker picks jobs off the priority queue until drain closes stopPick.
@@ -535,15 +417,6 @@ func (s *Server) worker() {
 				continue
 			}
 			s.runJob(jb)
-			jb.mu.Lock()
-			suspended := jb.state == StateSuspended
-			jb.mu.Unlock()
-			if suspended {
-				// Preempted mid-run: runJob left it suspended with its
-				// checkpoint persisted and every defer (journal flock,
-				// fleet lease) already unwound. Back on the queue it goes.
-				s.requeueSuspended(jb)
-			}
 		}
 	}
 }

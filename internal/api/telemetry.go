@@ -68,13 +68,7 @@ var hooks atomic.Pointer[Hooks]
 // server start by internal/telemetry/wire.
 func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }
 
-func hookInc(c func(h *Hooks) *telemetry.Counter) {
-	if h := hooks.Load(); h != nil {
-		if counter := c(h); counter != nil {
-			counter.Inc()
-		}
-	}
-}
+func hookInc(c func(h *Hooks) *telemetry.Counter) { hookIncBy(c, 1) }
 
 func hookIncBy(c func(h *Hooks) *telemetry.Counter, n int) {
 	if h := hooks.Load(); h != nil {

@@ -591,21 +591,6 @@ func (n *Network) ImpedanceMag(f float64) float64 {
 	return cmplx.Abs(n.Impedance(f))
 }
 
-// ImpedancePoint is one (frequency, |Z|) sample of an impedance profile.
-type ImpedancePoint struct {
-	Freq float64 // Hz
-	Mag  float64 // ohms
-}
-
-// ImpedanceProfile samples |Z(f)| at the given frequencies.
-func (n *Network) ImpedanceProfile(freqs []float64) []ImpedancePoint {
-	out := make([]ImpedancePoint, len(freqs))
-	for i, f := range freqs {
-		out[i] = ImpedancePoint{Freq: f, Mag: n.ImpedanceMag(f)}
-	}
-	return out
-}
-
 // ResonancePeak scans |Z(f)| over [loHz, hiHz] with points log-spaced
 // samples and returns the frequency and magnitude of the largest impedance.
 func (n *Network) ResonancePeak(loHz, hiHz float64, points int) (freq, mag float64) {

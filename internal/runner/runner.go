@@ -209,8 +209,12 @@ func RunBatch(ctx context.Context, s *experiments.Session, entries []experiments
 }
 
 // runOne drives one experiment through the attempt/classify/backoff loop.
-func runOne(ctx context.Context, s *experiments.Session, e experiments.Entry, cfg Config) Result {
-	res := Result{ID: e.ID, Title: e.Title}
+//
+// The result is named so the deferred Elapsed stamp lands in the value the
+// caller receives: a deferred write to a local would run after `return res`
+// had already copied it out.
+func runOne(ctx context.Context, s *experiments.Session, e experiments.Entry, cfg Config) (res Result) {
+	res = Result{ID: e.ID, Title: e.Title}
 	// Jitter is seeded per experiment so a rerun of the same batch draws
 	// the same backoff schedule regardless of worker interleaving.
 	jitter := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(e.ID))))

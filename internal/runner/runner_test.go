@@ -423,3 +423,25 @@ func TestBackoffMonotoneCappedAtHighAttempts(t *testing.T) {
 		}
 	}
 }
+
+// TestResultElapsedCoversTheRun pins Result.Elapsed to the experiment's
+// wall clock: an entry that sleeps must report at least that long, on
+// both the success and the failure return paths.
+func TestResultElapsedCoversTheRun(t *testing.T) {
+	const nap = 20 * time.Millisecond
+	ok := entry("ok", func(context.Context, *experiments.Session) experiments.Renderer {
+		time.Sleep(nap)
+		return okRenderer{"ok"}
+	})
+	bad := entry("bad", func(context.Context, *experiments.Session) experiments.Renderer {
+		time.Sleep(nap)
+		panic(errors.New("deterministic"))
+	})
+	results, _ := RunBatch(context.Background(), session(), []experiments.Entry{ok, bad},
+		Config{Workers: 2, MaxAttempts: 1})
+	for _, r := range results {
+		if r.Elapsed < nap {
+			t.Errorf("%s: Elapsed = %s, want >= %s", r.ID, r.Elapsed, nap)
+		}
+	}
+}

@@ -18,7 +18,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,16 +193,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Timings[k] = v.Stats()
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
