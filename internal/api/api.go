@@ -354,8 +354,8 @@ type Status struct {
 	// ResumedUnits is how many completed units the job's journal replayed
 	// when it (re)started — nonzero exactly when the job survived a
 	// server crash or restart mid-run.
-	ResumedUnits int    `json:"resumed_units"`
-	Recovered    bool   `json:"recovered,omitempty"`
+	ResumedUnits int  `json:"resumed_units"`
+	Recovered    bool `json:"recovered,omitempty"`
 	// Preemptions counts how many times a higher-priority arrival
 	// suspended this job; DeadlineUnixNS is the absolute completion
 	// deadline derived from spec deadline_ms (0 = none).

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/telemetry"
 )
 
@@ -22,7 +23,7 @@ import (
 // first job to finish publishes its renders here, and every later
 // identical spec is served instantly with byte-identical renders.
 //
-// Entries are written tmp+fsync+rename by the same writeFileAtomic as
+// Entries are written by the same atomic replace (internal/durable) as
 // result.json, and — in fleet mode — inside the publisher's lease Guard,
 // so a fenced stale worker can never poison the cache. Reads validate
 // the entry (parseable, fingerprint echoes the key, renders non-empty);
@@ -50,16 +51,16 @@ func (s *Store) CachePath(fp string) string {
 	return filepath.Join(s.cacheDir(fp), "result.json")
 }
 
-// WriteCached publishes a cache entry atomically (tmp+fsync+rename): a
-// reader sees the old entry, the new entry, or none — never a torn one.
+// WriteCached publishes a cache entry atomically: a reader sees the old
+// entry, the new entry, or none — never a torn one.
 func (s *Store) WriteCached(e *CacheEntry) error {
 	if e.Fingerprint == "" {
 		return errors.New("api: cache entry without a fingerprint")
 	}
-	if err := os.MkdirAll(s.cacheDir(e.Fingerprint), 0o755); err != nil {
+	if err := (durable.OS{}).MkdirAll(s.cacheDir(e.Fingerprint)); err != nil {
 		return fmt.Errorf("api: create cache dir: %w", err)
 	}
-	return writeFileAtomic(s.CachePath(e.Fingerprint), e)
+	return persistJSON(s.CachePath(e.Fingerprint), e)
 }
 
 // LoadCached reads and validates the cache entry for a fingerprint.

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+
+	"voltsmooth/internal/durable"
 )
 
 // Fsck (DESIGN §13) is the store scrubber behind `vsmoothd -fsck`: an
@@ -14,12 +15,13 @@ import (
 // garbage. It is deliberately conservative: anything a live process might
 // still be using (seq.lock, lock sidecars next to unfinished jobs) is
 // reported but never touched, because removing a lock file races a
-// concurrent locker onto a dead inode (see lockBlocking).
+// concurrent locker onto a dead inode (see durable.OS.Lock).
 //
 // Issue classes:
 //
-//   - tmp orphan: a ".<name>.tmp-*" temp file left by a crash between
-//     CreateTemp and rename (writeFileAtomic). Always safe to remove —
+//   - tmp orphan: a temp file (durable.IsTemp) left by a crash inside an
+//     atomic replace — by the real filesystem between CreateTemp and
+//     rename, or by the chaos plane's torn write. Always safe to remove —
 //     rename is atomic, so an orphan was by definition never committed.
 //   - stale lock: a "*.lock" flock sidecar (lease.json.lock,
 //     journal.jsonl.lock) next to a TERMINAL job. Terminal jobs are never
@@ -128,11 +130,10 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 	return rep, nil
 }
 
-// sweepTmp records (and under repair, removes) writeFileAtomic temp
-// orphans directly inside dir: dot-prefixed names carrying the ".tmp-"
-// infix. Nothing else matches that shape, and a live writeFileAtomic's
-// temp file lives for microseconds — an orphan found by an offline scrub
-// is from a dead process.
+// sweepTmp records (and under repair, removes) atomic-replace temp
+// orphans directly inside dir. A live replace's temp file lives for
+// microseconds — an orphan found by an offline scrub is from a dead
+// process.
 func (s *Store) sweepTmp(dir string, record func(kind, path, detail string, fix func() error)) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -140,7 +141,7 @@ func (s *Store) sweepTmp(dir string, record func(kind, path, detail string, fix 
 	}
 	for _, de := range entries {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
+		if de.IsDir() || !durable.IsTemp(name) {
 			continue
 		}
 		p := filepath.Join(dir, name)

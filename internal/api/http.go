@@ -312,7 +312,7 @@ func (s *Server) decorateOwner(st *Status) {
 	if s.leases == nil {
 		return
 	}
-	if l, err := lease.Load(s.cfg.LeaseFS, s.store.jobDir(st.ID)); err == nil && l != nil {
+	if l, err := lease.Load(s.cfg.FS, s.store.jobDir(st.ID)); err == nil && l != nil {
 		st.Owner = l.WorkerID
 		st.Epoch = l.Epoch
 	}

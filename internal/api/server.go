@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"voltsmooth/internal/journal"
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/lease"
 	"voltsmooth/internal/runner"
 	"voltsmooth/internal/telemetry"
@@ -45,10 +45,12 @@ type Config struct {
 	Retries      int
 	StallTimeout time.Duration
 
-	// JournalFS is the filesystem seam for every job journal; nil means
-	// the real filesystem. The kill–restart e2e injects the chaos plane
-	// here.
-	JournalFS journal.FS
+	// FS is the filesystem seam under every job journal and, in fleet
+	// mode, the lease layer; nil means the real filesystem. The
+	// kill–restart and fleet e2es inject the chaos plane here, so seeded
+	// kill-points land mid-append and inside claim transactions alike.
+	// The job store itself always writes through durable.OS.
+	FS durable.FS
 	// SyncEvery is the job journals' fsync cadence; <= 0 means 1 (every
 	// record — a server must survive whole-machine crashes).
 	SyncEvery int
@@ -123,10 +125,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// ScanInterval is the claim scanner's cadence; <= 0 means LeaseTTL/3.
 	ScanInterval time.Duration
-	// LeaseFS is the lease layer's filesystem seam; nil means the real
-	// filesystem. The fleet e2e injects the chaos plane here so seeded
-	// kill-points land inside claim transactions too.
-	LeaseFS lease.FS
 }
 
 // Server is the campaign service: admission, queue, executor pool, job
@@ -145,7 +143,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string // submission order
-	depth    int // jobs admitted but not yet picked by a worker
+	depth    int      // jobs admitted but not yet picked by a worker
 	draining bool
 	// drainDeadline is Drain's budget, recorded so the 503 Retry-After
 	// can report the actual time until a restart can admit again.
@@ -236,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 		s.leases = &lease.Manager{
 			WorkerID: cfg.WorkerID,
 			TTL:      cfg.LeaseTTL,
-			FS:       cfg.LeaseFS,
+			FS:       cfg.FS,
 			Now:      now,
 			Warn: func(format string, args ...any) {
 				logf("lease: "+format, args...)
@@ -361,7 +359,7 @@ func (s *Server) scanOnce() {
 
 		// Peek at the lease before spending a queue slot: a job under a
 		// peer's live lease is theirs until the TTL says otherwise.
-		if l, err := lease.Load(s.cfg.LeaseFS, s.store.jobDir(id)); err == nil &&
+		if l, err := lease.Load(s.cfg.FS, s.store.jobDir(id)); err == nil &&
 			l.LiveAt(s.now()) && l.WorkerID != s.cfg.WorkerID {
 			continue
 		}

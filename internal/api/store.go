@@ -9,7 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
+
+	"voltsmooth/internal/durable"
 )
 
 // Store is the durable job store under one directory:
@@ -25,9 +26,11 @@ import (
 //	<dir>/seq                      flock-guarded job-ID counter shared by every
 //	                               process on the store (AllocateID)
 //
-// Recovery on boot is a pure function of this layout: Scan returns every
-// job in submission order; a job with a result is terminal and served
-// as-is, a job without one is re-enqueued and resumes from its journal.
+// Every write goes through durable.OS and survives process death and an
+// OS crash (DESIGN §10.7). Recovery on boot is a pure function of this
+// layout: Scan returns every job in submission order; a job with a result
+// is terminal and served as-is, a job without one is re-enqueued and
+// resumes from its journal.
 type Store struct {
 	dir string
 }
@@ -52,7 +55,7 @@ func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("api: store directory is required")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+	if err := (durable.OS{}).MkdirAll(filepath.Join(dir, "jobs")); err != nil {
 		return nil, fmt.Errorf("api: create job store: %w", err)
 	}
 	return &Store{dir: dir}, nil
@@ -71,17 +74,17 @@ func (s *Store) JournalPath(id string) string {
 // CreateJob persists the admission record durably. It must complete
 // before the submission is acknowledged: an acked job survives a crash.
 func (s *Store) CreateJob(rec JobRecord) error {
-	if err := os.MkdirAll(s.jobDir(rec.ID), 0o755); err != nil {
+	if err := (durable.OS{}).MkdirAll(s.jobDir(rec.ID)); err != nil {
 		return fmt.Errorf("api: create job dir: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(s.jobDir(rec.ID), "job.json"), rec)
+	return persistJSON(filepath.Join(s.jobDir(rec.ID), "job.json"), rec)
 }
 
-// WriteResult persists the terminal record atomically (tmp + rename), so
-// a crash mid-write can never leave a half-result that recovery would
-// mistake for a finished job.
+// WriteResult persists the terminal record atomically, so a crash
+// mid-write can never leave a half-result that recovery would mistake for
+// a finished job.
 func (s *Store) WriteResult(res *Result) error {
-	return writeFileAtomic(filepath.Join(s.jobDir(res.ID), "result.json"), res)
+	return persistJSON(filepath.Join(s.jobDir(res.ID), "result.json"), res)
 }
 
 // LoadResult reads a job's terminal record; os.ErrNotExist when the job
@@ -166,13 +169,13 @@ func (s *Store) NextSeq() (int, error) {
 // non-blocking claim locks of the lease layer. The counter is seeded from
 // a store scan the first time a store without one allocates.
 func (s *Store) AllocateID() (string, error) {
-	release, err := lockBlocking(filepath.Join(s.dir, "seq.lock"))
+	seqPath := filepath.Join(s.dir, "seq")
+	release, err := durable.OS{}.LockWait(seqPath)
 	if err != nil {
 		return "", fmt.Errorf("api: lock seq counter: %w", err)
 	}
 	defer release()
 
-	seqPath := filepath.Join(s.dir, "seq")
 	next := 0
 	data, err := os.ReadFile(seqPath)
 	switch {
@@ -189,25 +192,10 @@ func (s *Store) AllocateID() (string, error) {
 	default:
 		return "", fmt.Errorf("api: read seq counter: %w", err)
 	}
-	if err := writeFileAtomic(seqPath, next+1); err != nil {
+	if err := persistJSON(seqPath, next+1); err != nil {
 		return "", fmt.Errorf("api: advance seq counter: %w", err)
 	}
 	return JobID(next), nil
-}
-
-// lockBlocking takes a blocking exclusive flock on path, creating it if
-// needed, and returns the release function. The file is never removed
-// (removing it would race a concurrent locker onto a dead inode).
-func lockBlocking(path string) (func() error, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f.Close, nil
 }
 
 // JobID formats a sequence number as a job ID ("j000042"): zero-padded so
@@ -236,28 +224,11 @@ func seqOf(id string) (int, bool) {
 	return n, true
 }
 
-// writeFileAtomic writes v as JSON to path via tmp+fsync+rename, so the
-// file either has its old contents or the complete new ones.
-func writeFileAtomic(path string, v any) error {
+// persistJSON replaces path with v as indented JSON, atomically.
+func persistJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("api: marshal %s: %w", filepath.Base(path), err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.OS{}.WriteFileAtomic(path, append(data, '\n'))
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"voltsmooth/internal/counters"
 	"voltsmooth/internal/core"
+	"voltsmooth/internal/counters"
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/uarch"

@@ -30,11 +30,11 @@ func FuzzLoadCorruptRecords(f *testing.F) {
 		}
 	}
 
-	f.Add([]byte(`{"kind":"entry","key":"torn`))                             // torn mid-append
+	f.Add([]byte(`{"kind":"entry","key":"torn`))                                 // torn mid-append
 	f.Add([]byte(`{"kind":"entry","key":"x","payload":{},"sum":"beef"}` + "\n")) // wrong checksum
-	f.Add([]byte("\x00\xffgarbage\x01\n{\"half\":"))                         // binary garbage
-	f.Add([]byte("\n\n\n"))                                                  // blank lines
-	f.Add([]byte(`{"kind":"header","config":"other"}` + "\n"))               // header impostor mid-file
+	f.Add([]byte("\x00\xffgarbage\x01\n{\"half\":"))                             // binary garbage
+	f.Add([]byte("\n\n\n"))                                                      // blank lines
+	f.Add([]byte(`{"kind":"header","config":"other"}` + "\n"))                   // header impostor mid-file
 
 	var n int
 	f.Fuzz(func(t *testing.T, corrupt []byte) {

@@ -30,10 +30,11 @@
 //     how late it wakes up.
 //
 // Every claim, renewal, release, and fence rejection is additionally
-// appended to jobs/<id>/lease.log (one JSON line each, written inside the
-// same flock'd transaction). The log is the epoch history the fleet tests
-// assert over: epochs strictly increase, and no claim's acquisition time
-// precedes the expiry of a live predecessor held by another worker.
+// appended to jobs/<id>/lease.log (one JSON line each, written and
+// fsynced inside the same flock'd transaction). The log is the epoch
+// history the fleet tests assert over: epochs strictly increase, and no
+// claim's acquisition time precedes the expiry of a live predecessor held
+// by another worker.
 package lease
 
 import (
@@ -44,6 +45,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/telemetry"
 )
 
@@ -132,7 +134,7 @@ type Manager struct {
 	// FS is the filesystem seam; nil means the real filesystem. The
 	// chaos plane (internal/chaos) implements it to inject faults and
 	// kill-points into the claim path.
-	FS FS
+	FS durable.FS
 	// Now is the clock seam; nil means time.Now.
 	Now func() time.Time
 	// Warn receives non-fatal oddities (corrupt lease files, history
@@ -140,11 +142,11 @@ type Manager struct {
 	Warn func(format string, args ...any)
 }
 
-func (m *Manager) fs() FS {
+func (m *Manager) fs() durable.FS {
 	if m.FS != nil {
 		return m.FS
 	}
-	return osFS{}
+	return durable.OS{}
 }
 
 func (m *Manager) now() time.Time {
@@ -167,11 +169,11 @@ func (m *Manager) warnf(format string, args ...any) {
 // claimed. A corrupt file is an error — callers inside a claim
 // transaction treat it as claimable with a warning, but observers must
 // not mistake corruption for vacancy.
-func Load(fsys FS, jobDir string) (*Lease, error) {
+func Load(fsys durable.FS, jobDir string) (*Lease, error) {
 	if fsys == nil {
-		fsys = osFS{}
+		fsys = durable.OS{}
 	}
-	data, err := fsys.ReadFile(filepath.Join(jobDir, leaseFile))
+	data, err := durable.ReadFile(fsys, filepath.Join(jobDir, leaseFile))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
@@ -187,11 +189,11 @@ func Load(fsys FS, jobDir string) (*Lease, error) {
 
 // History reads a job's lease history log. Unparseable lines are skipped
 // (a torn final line is expected after a crash mid-append).
-func History(fsys FS, jobDir string) ([]Event, error) {
+func History(fsys durable.FS, jobDir string) ([]Event, error) {
 	if fsys == nil {
-		fsys = osFS{}
+		fsys = durable.OS{}
 	}
-	data, err := fsys.ReadFile(filepath.Join(jobDir, historyFile))
+	data, err := durable.ReadFile(fsys, filepath.Join(jobDir, historyFile))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
@@ -262,7 +264,7 @@ func (m *Manager) logEvent(jobDir string, ev Event) {
 		m.warnf("history marshal: %v", err)
 		return
 	}
-	if err := m.fs().AppendFile(filepath.Join(jobDir, historyFile), append(line, '\n')); err != nil {
+	if err := durable.Append(m.fs(), filepath.Join(jobDir, historyFile), append(line, '\n')); err != nil {
 		m.warnf("history append %s: %v", jobDir, err)
 	}
 }

@@ -220,18 +220,18 @@ type Network struct {
 	// Each holds exactly the value the pre-fusion integrator computed
 	// inline (same expression, same evaluation order), so caching them
 	// is bit-transparent.
-	pL0, pL1, pL2   float64 // ladder inductances
-	pC1, pCPl, pC3  float64 // bulk, plane, die capacitances
-	pESR3           float64
-	pVNom           float64
-	rTotal          float64 // R0 + R1 + R2 (load-line series resistance)
-	regP            float64 // RegProportional
-	regLimit        float64 // 0.15 * VNom anti-windup clamp
-	rippleAmp       float64
-	rippleFreq      float64
-	hasFF     bool // RegFeedforwardTau > 0
-	hasReg    bool // RegIntegralHz > 0
-	hasRipple bool // RippleAmp != 0 && RippleFreq != 0
+	pL0, pL1, pL2  float64 // ladder inductances
+	pC1, pCPl, pC3 float64 // bulk, plane, die capacitances
+	pESR3          float64
+	pVNom          float64
+	rTotal         float64 // R0 + R1 + R2 (load-line series resistance)
+	regP           float64 // RegProportional
+	regLimit       float64 // 0.15 * VNom anti-windup clamp
+	rippleAmp      float64
+	rippleFreq     float64
+	hasFF          bool // RegFeedforwardTau > 0
+	hasReg         bool // RegIntegralHz > 0
+	hasRipple      bool // RippleAmp != 0 && RippleFreq != 0
 
 	// Cached implicit-step coefficients, refreshed when dt changes. The
 	// resistive coupling is a 2×2 block between iL0 and iL1 (through

@@ -166,7 +166,7 @@ func DefaultConfig() Config {
 		},
 		L2ContentionFactor: 0.35,
 
-		PDN:      pdn.Core2Duo(),
+		PDN: pdn.Core2Duo(),
 		// 7 substeps puts the integration step (cycleTime/7 ≈ 77 ps) just
 		// inside the PDN's stability bound (pdn.Network.MaxStableStep,
 		// ≈ 77.5 ps for the Core2Duo ladder). The historical value of 6
