@@ -74,8 +74,8 @@ func run(argv []string) int {
 		scanInterval = fs.Duration("scan-interval", 0, "fleet claim-scanner cadence (0 = lease-ttl/3)")
 
 		// Store maintenance: -fsck scrubs and exits instead of serving.
-		fsck       = fs.Bool("fsck", false, "scrub the store for crash debris (tmp orphans, stale lock sidecars, torn cache entries), report, and exit")
-		fsckRepair = fs.Bool("fsck-repair", false, "with -fsck: also remove what is provably safe to remove")
+		fsck       = fs.Bool("fsck", false, "scrub the store for crash debris (tmp orphans, stale lock sidecars, torn cache entries, missing or mismatched state records), report, and exit")
+		fsckRepair = fs.Bool("fsck-repair", false, "with -fsck: also remove what is provably safe to remove, and rewrite missing state records")
 
 		// chaosKillAtOp is the deterministic crash point of the kill-restart
 		// e2e: the Nth filesystem operation SIGKILLs this process — no

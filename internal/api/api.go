@@ -265,7 +265,11 @@ type job struct {
 	recovered    bool // re-enqueued by boot-time recovery
 	// preemptions counts how many times this job was suspended.
 	preemptions int
+	// result is the terminal result of a job that finished in this
+	// process, served from memory; stored is the state record of one
+	// installed from the store, whose result is read from disk on demand.
 	result      *Result
+	stored      *StateRecord
 	cached      bool   // result served from the cache / a leader's run
 	cacheSource string // job whose execution produced the renders
 

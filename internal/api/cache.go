@@ -205,22 +205,33 @@ func (s *Server) dedupLeader(fp string) *job {
 	return s.dedupLeaderLocked(fp)
 }
 
-// dedupLeaderLocked is dedupLeader with Server.mu already held.
+// dedupLeaderLocked is dedupLeader with Server.mu already held. It walks
+// only fp's entries in the live index, dropping those that went terminal.
 func (s *Server) dedupLeaderLocked(fp string) *job {
 	if fp == "" {
 		return nil
 	}
-	for _, id := range s.order { // submission order == ID order
-		jb := s.jobs[id]
-		if jb.fingerprint != fp {
+	var leader *job
+	all := s.live[fp]
+	kept := all[:0]
+	for _, jb := range all { // ID order == submission order
+		jb.mu.Lock()
+		terminal := jb.state.terminal()
+		canceling := jb.cause == causeCancel
+		jb.mu.Unlock()
+		if terminal {
 			continue
 		}
-		jb.mu.Lock()
-		live := !jb.state.terminal() && jb.cause != causeCancel
-		jb.mu.Unlock()
-		if live {
-			return jb
+		kept = append(kept, jb)
+		if leader == nil && !canceling {
+			leader = jb
 		}
 	}
-	return nil
+	clear(all[len(kept):])
+	if len(kept) == 0 {
+		delete(s.live, fp)
+	} else {
+		s.live[fp] = kept
+	}
+	return leader
 }

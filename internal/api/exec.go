@@ -70,8 +70,8 @@ func (s *Server) runJob(jb *job) {
 		// The claim may have raced a peer's terminal write that landed just
 		// before our transaction: a result on disk means the job is done,
 		// not ours to re-run.
-		if res, err := s.store.LoadResult(jb.id); err == nil {
-			s.adoptResult(jb, res)
+		if st, err := s.store.loadState(jb.id, nil); err == nil {
+			s.adoptResult(jb, st)
 			return
 		}
 	}
@@ -474,7 +474,11 @@ func (s *Server) commitResult(jb *job, res *Result) {
 	jb.mu.Unlock()
 
 	publish := func() error {
-		if err := s.store.WriteResult(res); err != nil {
+		if err := s.store.WriteResult(res); errors.Is(err, errNoStateRecord) {
+			// The result is durable and terminal; only the fast boot path
+			// is lost for this job.
+			s.logf("job %s: %v", jb.id, err)
+		} else if err != nil {
 			return err
 		}
 		if res.State == StateDone && !res.Cached && s.cacheEnabled() && jb.fingerprint != "" {

@@ -35,11 +35,20 @@ import (
 //     parse. Report-only: recovery already treats it as unfinished and
 //     re-runs the job from its journal, which rewrites the file — deleting
 //     it here would add nothing and lose the evidence.
+//   - state record: a terminal job whose state.json is missing, corrupt,
+//     or disagrees with its result.json. A missing record (a store written
+//     before state records, or a crash between WriteResult's two writes)
+//     only costs boot a full parse; repair rewrites the record from the
+//     parseable result.json, which is how an old store migrates — boot
+//     itself never writes. A result.json whose bytes differ from the
+//     record's length or CRC-32C cannot be trusted: repair sets it aside
+//     as the server does (Store.quarantineResult), so the next boot re-runs
+//     the job from its journal.
 
 // FsckIssue is one finding: what was wrong, where, and whether this run
 // repaired it.
 type FsckIssue struct {
-	Kind     string `json:"kind"` // tmp_orphan | stale_lock | torn_cache | corrupt_result
+	Kind     string `json:"kind"` // tmp_orphan | stale_lock | torn_cache | corrupt_result | state_record
 	Path     string `json:"path"`
 	Detail   string `json:"detail,omitempty"`
 	Repaired bool   `json:"repaired"`
@@ -92,8 +101,8 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 		s.sweepTmp(dir, record)
 
 		terminal := false
-		if _, lerr := s.LoadResult(id); lerr == nil {
-			terminal = true
+		if res, data, lerr := s.loadResult(id); lerr == nil {
+			terminal = s.checkState(res, data, record)
 		} else if !errors.Is(lerr, os.ErrNotExist) {
 			record("corrupt_result", filepath.Join(dir, "result.json"), firstLine(lerr), nil)
 		}
@@ -128,6 +137,32 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 		}
 	}
 	return rep, nil
+}
+
+// checkState records a terminal job whose state record is missing or
+// disagrees with the result.json stored as data. It reports whether the
+// job still counts as terminal: not once its result is found untrusted.
+func (s *Store) checkState(res *Result, data []byte, record func(kind, path, detail string, fix func() error)) bool {
+	if !res.State.terminal() {
+		return true
+	}
+	want := stateOf(res, data)
+	p := s.statePath(res.ID)
+	rewrite := func() error { return persistJSON(p, want) }
+	rec, err := s.readState(res.ID)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		record("state_record", p, "terminal job has no state record", rewrite)
+	case err != nil:
+		record("state_record", p, firstLine(err), rewrite)
+	case rec.ResultBytes != want.ResultBytes || rec.ResultCRC32C != want.ResultCRC32C:
+		record("state_record", p, fmt.Sprintf("%v (%d bytes, record says %d); result set aside for a re-run",
+			errResultMismatch, want.ResultBytes, rec.ResultBytes), func() error { return s.quarantineResult(res.ID) })
+		return false
+	case *rec != want:
+		record("state_record", p, "state record disagrees with result.json", rewrite)
+	}
+	return true
 }
 
 // sweepTmp records (and under repair, removes) atomic-replace temp

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -198,18 +199,11 @@ func (s *Server) admit(client string, spec JobSpec) (*job, error) {
 	jb := newJob(rec, s.cfg.EventsCap)
 	jb.fire(evAdmit, "", "", nil)
 	s.mu.Lock()
-	s.jobs[rec.ID] = jb
-	s.order = append(s.order, rec.ID)
+	s.register(jb)
 	s.mu.Unlock()
 	if err := s.store.CreateJob(rec); err != nil {
 		s.mu.Lock()
-		delete(s.jobs, rec.ID)
-		for i, id := range s.order {
-			if id == rec.ID {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
+		s.unregister(jb)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("persist job: %v", err)
 	}
@@ -348,15 +342,46 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jb.mu.Lock()
-	res := jb.result
-	state := jb.state
+	res, stored, state := jb.result, jb.stored, jb.state
 	jb.mu.Unlock()
-	if res == nil {
+	switch {
+	case res != nil:
+		writeJSON(w, http.StatusOK, res)
+	case stored != nil:
+		// Installed from the store: result.json's bytes are the body —
+		// byte for byte what writeJSON would send (see encodeJSON).
+		data, err := s.storedResult(jb, stored)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("stored result unavailable: %v", err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(data) // a client gone mid-write leaves nothing to do
+	default:
 		w.Header().Set("Retry-After", s.retryAfterResult(jb))
 		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; result exists once terminal", state))
-		return
 	}
-	writeJSON(w, http.StatusOK, res)
+}
+
+// storedResult reads the result.json of a job installed from the store,
+// checked against the job's state record. Bytes that no longer match —
+// or a result.json that is gone — are never served: the file is set
+// aside (Store.quarantineResult) so the next boot re-runs the job from
+// its journal. The job itself stays terminal in this process; terminal
+// states are final.
+func (s *Server) storedResult(jb *job, st *StateRecord) ([]byte, error) {
+	data, err := s.store.readResult(st)
+	if err == nil || !(errors.Is(err, errResultMismatch) || errors.Is(err, os.ErrNotExist)) {
+		return data, err
+	}
+	s.logf("job %s: %v; setting result.json aside, the next boot re-runs the job from its journal", jb.id, err)
+	hookTrace(telemetry.Event{Kind: "api.job.result_corrupt", ID: jb.id, Detail: firstLine(err)})
+	jb.trace.Emit(telemetry.Event{Kind: "api.job.result_corrupt", ID: jb.id, Detail: firstLine(err)})
+	if qerr := s.store.quarantineResult(jb.id); qerr != nil {
+		s.logf("job %s: %v", jb.id, qerr)
+	}
+	return nil, err
 }
 
 // handleCancel cancels a job. Queued jobs are marked canceled immediately
@@ -383,9 +408,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 				s.logf("job %s: release after cancel: %v", jb.id, err)
 			}
 		}()
-		if res, err := s.store.LoadResult(jb.id); err == nil {
+		if st, err := s.store.loadState(jb.id, nil); err == nil {
 			// A peer finished it in the meantime; its result stands.
-			s.adoptResult(jb, res)
+			s.adoptResult(jb, st)
 			writeJSON(w, http.StatusOK, map[string]string{"id": jb.id, "state": string(jb.currentState())})
 			return
 		}

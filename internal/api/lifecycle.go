@@ -175,41 +175,47 @@ func (j *job) currentState() JobState {
 	return j.state
 }
 
-// install moves the job into a persisted terminal result's state and
-// copies the result into the job's status fields: the one installer
-// behind boot recovery (from the unborn state, silently) and peer-result
-// adoption. A running job refuses it — its own lease heartbeat fences it
-// if it truly lost the job — and so does every job when the result names
-// no terminal state.
-func (j *job) install(res *Result, detail string) bool {
-	if !res.State.terminal() {
+// install moves the job into a persisted terminal state and copies the
+// state record into the job's status fields: the one installer behind
+// boot recovery (from the unborn state, silently) and peer-result
+// adoption. The job keeps the record, not the renders: its result is
+// read from the store when asked for. A running job refuses it — its own
+// lease heartbeat fences it if it truly lost the job — and so does every
+// job when the record names no terminal state.
+func (j *job) install(st *StateRecord, detail string) bool {
+	if !st.State.terminal() {
 		return false
 	}
-	return j.fire(evInstall, res.State, detail, func() {
-		j.setResult(res)
-		j.resumedUnits = res.ResumedUnits
-		j.prog.units.Store(res.Units)
-		j.prog.expDone.Store(uint64(len(res.Renders)))
-		if res.StartedUnixNS != 0 {
-			j.started = time.Unix(0, res.StartedUnixNS)
+	return j.fire(evInstall, st.State, detail, func() {
+		j.stored = st
+		j.setTerminal(st)
+		j.resumedUnits = st.ResumedUnits
+		j.prog.units.Store(st.Units)
+		j.prog.expDone.Store(uint64(st.Renders))
+		if st.StartedUnixNS != 0 {
+			j.started = time.Unix(0, st.StartedUnixNS)
 		}
 	})
 }
 
 // end records a terminal result the job's own run (or the cache, or a
-// leader's run) produced and committed: run-ended with that outcome.
+// leader's run) produced and committed: run-ended with that outcome. The
+// job keeps the result in memory and serves it from there.
 func (j *job) end(res *Result) bool {
-	return j.fire(evRunEnded, res.State, res.Error, func() { j.setResult(res) })
+	return j.fire(evRunEnded, res.State, res.Error, func() {
+		j.result = res
+		st := res.summary()
+		j.setTerminal(&st)
+	})
 }
 
-// setResult copies a terminal result's fields into the job. Caller holds
-// j.mu.
-func (j *job) setResult(res *Result) {
-	j.result = res
-	j.errMsg = res.Error
-	j.cached = res.Cached
-	j.cacheSource = res.CacheSource
-	if res.FinishedUnixNS != 0 {
-		j.finished = time.Unix(0, res.FinishedUnixNS)
+// setTerminal copies a terminal state's status fields into the job.
+// Caller holds j.mu.
+func (j *job) setTerminal(st *StateRecord) {
+	j.errMsg = st.Error
+	j.cached = st.Cached
+	j.cacheSource = st.CacheSource
+	if st.FinishedUnixNS != 0 {
+		j.finished = time.Unix(0, st.FinishedUnixNS)
 	}
 }

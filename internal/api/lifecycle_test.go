@@ -142,7 +142,7 @@ func TestStopCausePrecedence(t *testing.T) {
 func TestInstallRefusesNonTerminalResult(t *testing.T) {
 	for _, st := range []JobState{"", StateQueued, StateRunning, StateSuspended} {
 		jb := &job{id: "j", trace: telemetry.NewTrace(8)}
-		if jb.install(&Result{ID: "j", State: st}, "") || jb.state != "" {
+		if jb.install(&StateRecord{ID: "j", State: st}, "") || jb.state != "" {
 			t.Errorf("result in state %q installed: job is %q", st, jb.state)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -140,10 +142,16 @@ type Server struct {
 	// worker's claims over the shared store.
 	leases *lease.Manager
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order
-	depth    int      // jobs admitted but not yet picked by a worker
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // submission order
+	// live indexes the jobs that may lead a fingerprint's execution:
+	// fingerprint → its non-terminal jobs in ID (submission) order.
+	// dedupLeaderLocked drops the ones that went terminal since it last
+	// looked — terminal is final, so each is dropped once — so a lookup
+	// never walks the terminal jobs a long-lived server piles up.
+	live     map[string][]*job
+	depth    int // jobs admitted but not yet picked by a worker
 	draining bool
 	// drainDeadline is Drain's budget, recorded so the 503 Retry-After
 	// can report the actual time until a restart can admit again.
@@ -224,6 +232,7 @@ func New(cfg Config) (*Server, error) {
 		logf:      logf,
 		now:       now,
 		jobs:      map[string]*job{},
+		live:      map[string][]*job{},
 		inflight:  map[string]*job{},
 		followers: map[string][]*job{},
 		running:   map[string]*job{},
@@ -254,12 +263,11 @@ func New(cfg Config) (*Server, error) {
 	var recovered []*job
 	for _, sj := range stored {
 		jb := newJob(sj.Record, cfg.EventsCap)
-		if sj.Result == nil || !jb.install(sj.Result, "") {
+		if sj.State == nil || !jb.install(sj.State, "") {
 			jb.fire(evRecover, "", "", nil)
 			recovered = append(recovered, jb)
 		}
-		s.jobs[jb.id] = jb
-		s.order = append(s.order, jb.id)
+		s.register(jb)
 	}
 
 	// The wake channel is sized so every token a realistic queue can
@@ -340,8 +348,7 @@ func (s *Server) scanOnce() {
 			// it and the claim path below can pick it up.
 			jb = newJob(sj.Record, s.cfg.EventsCap)
 			jb.fire(evAdmit, "", "", nil)
-			s.jobs[id] = jb
-			s.order = append(s.order, id)
+			s.register(jb)
 		}
 		// The scanner's enqueues ride bounded headroom: past it, local
 		// workers are saturated and the next scan retries — the queue
@@ -349,8 +356,8 @@ func (s *Server) scanOnce() {
 		skip := jb.enqueued || s.depth >= s.cfg.QueueCap+64
 		s.mu.Unlock()
 
-		if sj.Result != nil {
-			s.adoptResult(jb, sj.Result)
+		if sj.State != nil {
+			s.adoptResult(jb, sj.State)
 			continue
 		}
 		if st := jb.currentState(); skip || st.terminal() || st == StateRunning {
@@ -384,13 +391,39 @@ func (s *Server) scanOnce() {
 	}
 }
 
-// adoptResult installs a terminal result a peer worker persisted, so this
+// adoptResult installs a terminal state a peer worker persisted, so this
 // process's view of the job converges with the store. Local queued copies
 // flip terminal; a locally running job is left alone — its own lease
 // heartbeat fences it if it truly lost the job.
-func (s *Server) adoptResult(jb *job, res *Result) {
-	if jb.install(res, "adopted from peer result") {
-		s.logf("job %s: adopted peer result (%s, %d units)", jb.id, res.State, res.Units)
+func (s *Server) adoptResult(jb *job, st *StateRecord) {
+	if jb.install(st, "adopted from peer result") {
+		s.logf("job %s: adopted peer result (%s, %d units)", jb.id, st.State, st.Units)
+	}
+}
+
+// register adds a new job to the job table and, while it is not
+// terminal, to the dedup index. Caller holds s.mu, or has the server to
+// itself (boot).
+func (s *Server) register(jb *job) {
+	s.jobs[jb.id] = jb
+	s.order = append(s.order, jb.id)
+	if jb.fingerprint == "" || jb.currentState().terminal() {
+		return
+	}
+	l := s.live[jb.fingerprint]
+	i, _ := slices.BinarySearchFunc(l, jb.id, func(e *job, id string) int { return strings.Compare(e.id, id) })
+	s.live[jb.fingerprint] = slices.Insert(l, i, jb)
+}
+
+// unregister removes a job admit could not persist. Caller holds s.mu.
+func (s *Server) unregister(jb *job) {
+	delete(s.jobs, jb.id)
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == jb.id })
+	l := slices.DeleteFunc(s.live[jb.fingerprint], func(e *job) bool { return e == jb })
+	if len(l) == 0 {
+		delete(s.live, jb.fingerprint)
+	} else {
+		s.live[jb.fingerprint] = l
 	}
 }
 

@@ -87,8 +87,18 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jb *job) {
 	}
 	terminal := func() {
 		jb.mu.Lock()
-		res := jb.result
+		res, stored := jb.result, jb.stored
 		jb.mu.Unlock()
+		if res == nil && stored != nil {
+			// Installed from the store: load and re-encode the checked
+			// bytes — a rare path, so the renders are not kept.
+			if data, err := s.storedResult(jb, stored); err == nil {
+				res = new(Result)
+				if err := json.Unmarshal(data, res); err != nil {
+					res = nil
+				}
+			}
+		}
 		if res != nil {
 			writeSSE(w, "result", res)
 			flush()

@@ -1,7 +1,11 @@
 package api
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,10 +43,10 @@ func TestStoreScanOrderAndRecovery(t *testing.T) {
 			t.Errorf("scan[%d] = %s, want %s (submission order)", i, jobs[i].Record.ID, want)
 		}
 	}
-	if jobs[1].Result == nil || jobs[1].Result.Units != 7 {
+	if jobs[1].State == nil || jobs[1].State.Units != 7 {
 		t.Error("terminal job lost its result in the scan")
 	}
-	if jobs[0].Result != nil || jobs[2].Result != nil {
+	if jobs[0].State != nil || jobs[2].State != nil {
 		t.Error("unfinished jobs grew results")
 	}
 
@@ -88,8 +92,8 @@ func TestStoreScanSkipsCorruptRecords(t *testing.T) {
 	if len(jobs) != 1 {
 		t.Fatalf("scan: %d jobs, want only the healthy one", len(jobs))
 	}
-	if jobs[0].Record.ID != JobID(1) || jobs[0].Result != nil {
-		t.Errorf("scan[0] = %s (result %v), want %s unfinished", jobs[0].Record.ID, jobs[0].Result, JobID(1))
+	if jobs[0].Record.ID != JobID(1) || jobs[0].State != nil {
+		t.Errorf("scan[0] = %s (result %v), want %s unfinished", jobs[0].Record.ID, jobs[0].State, JobID(1))
 	}
 }
 
@@ -286,15 +290,70 @@ func TestStoreScanWarnPaths(t *testing.T) {
 	if len(jobs) != 2 {
 		t.Fatalf("scan: %d jobs, want 2 (healthy + torn-result)", len(jobs))
 	}
-	if jobs[0].Record.ID != JobID(1) || jobs[0].Result == nil {
-		t.Errorf("scan[0] = %s (result %v), want %s terminal", jobs[0].Record.ID, jobs[0].Result, JobID(1))
+	if jobs[0].Record.ID != JobID(1) || jobs[0].State == nil {
+		t.Errorf("scan[0] = %s (result %v), want %s terminal", jobs[0].Record.ID, jobs[0].State, JobID(1))
 	}
-	if jobs[1].Record.ID != JobID(3) || jobs[1].Result != nil {
-		t.Errorf("scan[1] = %s (result %v), want %s unfinished (torn result distrusted)", jobs[1].Record.ID, jobs[1].Result, JobID(3))
+	if jobs[1].Record.ID != JobID(3) || jobs[1].State != nil {
+		t.Errorf("scan[1] = %s (result %v), want %s unfinished (torn result distrusted)", jobs[1].Record.ID, jobs[1].State, JobID(3))
 	}
 	// Corrupt job.json, torn result, stray dir each warn. (The stray file
 	// is silently ignored: jobs are directories by definition.)
 	if warnings < 3 {
 		t.Errorf("%d warnings, want >= 3 (corrupt job.json, torn result, stray dir)", warnings)
+	}
+}
+
+// TestWriteResultStateRecord pins the state record WriteResult leaves
+// beside result.json: its fields echo the result, its length and CRC-32C
+// are those of the file, and the file is byte for byte the response body
+// writeJSON gives the same result — HTML-significant and non-ASCII render
+// text included — so serving the file changes no GET body. A record that
+// no longer parses is warned about and the scan falls back to the file.
+func TestWriteResultStateRecord(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := JobID(1)
+	if err := st.CreateJob(JobRecord{ID: id, Client: "c", Spec: JobSpec{Experiments: []string{"fig7"}, Scale: "tiny"}}); err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{ID: id, State: StateFailed, Error: "1/2 experiments failed: <x> & y",
+		Renders:  map[string]string{"fig7": "V <= 0.9 && f > 2 GHz\n\tµs   \"q\"\n", "tab1": "t"},
+		Attempts: map[string]int{"fig7": 2}, Units: 12, ResumedUnits: 3,
+		StartedUnixNS: 100, FinishedUnixNS: 200, Cached: true, CacheSource: JobID(9)}
+	if err := st.WriteResult(res); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(st.resultPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, res)
+	if !bytes.Equal(rec.Body.Bytes(), data) {
+		t.Fatalf("result.json differs from the writeJSON body:\n%s\nvs\n%s", data, rec.Body.Bytes())
+	}
+	got, err := st.readState(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := StateRecord{ID: id, State: StateFailed, Error: res.Error, Units: 12, ResumedUnits: 3,
+		StartedUnixNS: 100, FinishedUnixNS: 200, Cached: true, CacheSource: JobID(9), Renders: 2,
+		ResultBytes: int64(len(data)), ResultCRC32C: crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))}
+	if *got != want {
+		t.Fatalf("state record %+v, want %+v", *got, want)
+	}
+	if served, err := st.readResult(got); err != nil || !bytes.Equal(served, data) {
+		t.Fatalf("readResult = %d bytes, %v", len(served), err)
+	}
+
+	if err := os.WriteFile(st.statePath(id), []byte(`{"id":"j000001","state":"queued"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	warned := 0
+	jobs, err := st.Scan(func(format string, args ...any) { warned++ })
+	if err != nil || len(jobs) != 1 || jobs[0].State == nil || *jobs[0].State != want || warned != 1 {
+		t.Fatalf("scan over an invalid record: %+v (%v, %d warnings), want the state of result.json and one warning", jobs, err, warned)
 	}
 }

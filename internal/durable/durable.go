@@ -119,6 +119,25 @@ func (OS) WriteFileAtomic(name string, data []byte) error {
 	return syncDir(filepath.Dir(name))
 }
 
+// Rename renames oldname to newname and fsyncs newname's parent
+// directory, so the move survives an OS crash. Both names must share a
+// directory.
+func (OS) Rename(oldname, newname string) error {
+	if err := os.Rename(oldname, newname); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(newname))
+}
+
+// Remove removes name and fsyncs its parent directory, so the removal
+// survives an OS crash.
+func (OS) Remove(name string) error {
+	if err := os.Remove(name); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(name))
+}
+
 // MkdirAll creates dir and any missing parents, fsyncing the parent of
 // each directory it creates. An existing dir costs one stat and no fsync.
 func (o OS) MkdirAll(dir string) error {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -37,6 +38,33 @@ func TestWriteFileAtomicSyncsParentAfterRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := []string{dir + " holds new"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("dir syncs %q, want %q", seen, want)
+	}
+}
+
+// TestRenameAndRemoveSyncParent: a rename and a removal each sync the
+// parent directory after the entry has moved, so neither reverts after an
+// OS crash.
+func TestRenameAndRemoveSyncParent(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := os.WriteFile(a, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seen []string
+	recordSyncs(t, func(d string) {
+		_, errA := os.Stat(a)
+		_, errB := os.Stat(b)
+		seen = append(seen, fmt.Sprintf("%s a=%v b=%v", d, errA == nil, errB == nil))
+	})
+	if err := (OS{}).Rename(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := (OS{}).Remove(b); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{dir + " a=false b=true", dir + " a=false b=false"}
+	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("dir syncs %q, want %q", seen, want)
 	}
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -142,4 +144,48 @@ func TestTraceWriteJSONL(t *testing.T) {
 func TestNilTraceEmitIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Emit(Event{Kind: "x"}) // must not panic: disabled hooks pass nil traces around
+}
+
+// TestTraceGrowsLazilyWithSameOutput pins the on-demand ring against a
+// model of the preallocated one it replaced: at every capacity and event
+// count, the retained events (drop-oldest order, Seq), Len, Total,
+// Dropped and the WriteJSONL bytes are what a full-size ring gives, while
+// the ring never holds room for more than it has needed (or capacity).
+func TestTraceGrowsLazilyWithSameOutput(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 9, 100} {
+		for _, n := range []int{0, 1, 7, 8, 9, 50, 250} {
+			tr := NewTrace(capacity)
+			tr.now = func() time.Time { return time.Unix(0, 7) }
+			var all []Event
+			for i := 0; i < n; i++ {
+				ev := Event{Kind: "k", ID: fmt.Sprint("e", i), Value: float64(i)}
+				tr.Emit(ev)
+				ev.Seq, ev.T = uint64(i), 7
+				all = append(all, ev)
+			}
+			kept := all[max(0, n-capacity):]
+			name := fmt.Sprintf("capacity %d, %d events", capacity, n)
+			if got := tr.Events(); !reflect.DeepEqual(got, append([]Event{}, kept...)) {
+				t.Errorf("%s: events %+v, want %+v", name, got, kept)
+			}
+			if tr.Len() != len(kept) || tr.Total() != uint64(n) || tr.Dropped() != uint64(n-len(kept)) {
+				t.Errorf("%s: len/total/dropped = %d/%d/%d, want %d/%d/%d",
+					name, tr.Len(), tr.Total(), tr.Dropped(), len(kept), n, n-len(kept))
+			}
+			var got, want bytes.Buffer
+			if err := tr.WriteJSONL(&got); err != nil {
+				t.Fatal(err)
+			}
+			enc := json.NewEncoder(&want)
+			for _, ev := range kept {
+				enc.Encode(ev)
+			}
+			if got.String() != want.String() {
+				t.Errorf("%s: WriteJSONL\n%s\nwant\n%s", name, got.String(), want.String())
+			}
+			if c := cap(tr.buf); c > capacity || c > max(2*n, minTraceGrowth) {
+				t.Errorf("%s: ring holds room for %d events", name, c)
+			}
+		}
+	}
 }
