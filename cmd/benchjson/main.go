@@ -14,6 +14,11 @@
 // minimum (the least-interference estimate of the true cost), allocs/op
 // and B/op keep the maximum (they are deterministic on a healthy hot path,
 // so any spread is itself suspicious and the gate should see the worst).
+// The `-N` GOMAXPROCS suffix of each result line is kept as `procs`, so
+// runs at different -cpu settings stay apart, and the file records the
+// converting host's CPU count and Go version: an ns/op means little
+// without the machine it came from. Files of the v1 schema, which had
+// none of the three, still load and compare.
 //
 // Compare (exit 1 on regression, 0 otherwise):
 //
@@ -50,7 +55,10 @@ import (
 
 // Result is one benchmark's aggregated measurement.
 type Result struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at (its `-N` name
+	// suffix); 0 when unknown (v1 files, or a line without the suffix).
+	Procs       int     `json:"procs,omitempty"`
 	Runs        int     `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -62,28 +70,41 @@ type Result struct {
 
 // File is the BENCH_<n>.json schema.
 type File struct {
-	Schema     string   `json:"schema"`
-	Label      string   `json:"label,omitempty"`
-	GoOS       string   `json:"goos"`
-	GoArch     string   `json:"goarch"`
-	CPU        string   `json:"cpu,omitempty"`
+	Schema string `json:"schema"`
+	Label  string `json:"label,omitempty"`
+	GoOS   string `json:"goos"`
+	GoArch string `json:"goarch"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU and GoVersion describe the host and toolchain that converted
+	// the run (v2; absent from v1 files).
+	NumCPU     int      `json:"nproc,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-const schemaID = "vsmooth-bench/v1"
+const (
+	schemaID   = "vsmooth-bench/v2"
+	schemaV1ID = "vsmooth-bench/v1" // still read; lacks procs, nproc, go_version
+)
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkChipCycle-8   4047680   294.8 ns/op   0 B/op   0 allocs/op
 //	BenchmarkCorpusBuild/workers=2-8   33   35018003 ns/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-(\d+))?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // parse reads `go test -bench` text output and returns aggregated results
-// plus the goos/goarch/cpu header values it saw.
+// plus the goos/goarch/cpu header values it saw. Results aggregate per
+// name and procs.
 func parse(r io.Reader) (*File, error) {
-	f := &File{Schema: schemaID, GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
-	byName := map[string]*Result{}
-	var order []string
+	f := &File{Schema: schemaID, GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	type key struct {
+		name  string
+		procs int
+	}
+	byKey := map[key]*Result{}
+	var order []key
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -104,30 +125,33 @@ func parse(r io.Reader) (*File, error) {
 		if m == nil {
 			continue
 		}
-		name := m[1]
-		ns, err := strconv.ParseFloat(m[2], 64)
+		k := key{name: m[1]}
+		if m[2] != "" {
+			k.procs, _ = strconv.Atoi(m[2])
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %v", line, err)
 		}
-		res, ok := byName[name]
+		res, ok := byKey[k]
 		if !ok {
-			res = &Result{Name: name, NsPerOp: ns}
-			byName[name] = res
-			order = append(order, name)
+			res = &Result{Name: k.name, Procs: k.procs, NsPerOp: ns}
+			byKey[k] = res
+			order = append(order, k)
 		}
 		res.Runs++
 		if ns < res.NsPerOp {
 			res.NsPerOp = ns
 		}
-		if m[3] != "" {
-			b, _ := strconv.ParseInt(m[3], 10, 64)
+		if m[4] != "" {
+			b, _ := strconv.ParseInt(m[4], 10, 64)
 			if b > res.BytesPerOp {
 				res.BytesPerOp = b
 			}
 			res.MemReported = true
 		}
-		if m[4] != "" {
-			a, _ := strconv.ParseInt(m[4], 10, 64)
+		if m[5] != "" {
+			a, _ := strconv.ParseInt(m[5], 10, 64)
 			if a > res.AllocsPerOp {
 				res.AllocsPerOp = a
 			}
@@ -136,8 +160,8 @@ func parse(r io.Reader) (*File, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for _, name := range order {
-		f.Benchmarks = append(f.Benchmarks, *byName[name])
+	for _, k := range order {
+		f.Benchmarks = append(f.Benchmarks, *byKey[k])
 	}
 	return f, nil
 }
@@ -152,8 +176,8 @@ func load(path string) (*File, error) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("benchjson: %s: %v", path, err)
 	}
-	if f.Schema != schemaID {
-		return nil, fmt.Errorf("benchjson: %s: unknown schema %q (want %q)", path, f.Schema, schemaID)
+	if f.Schema != schemaID && f.Schema != schemaV1ID {
+		return nil, fmt.Errorf("benchjson: %s: unknown schema %q (want %q or %q)", path, f.Schema, schemaID, schemaV1ID)
 	}
 	return &f, nil
 }
@@ -191,15 +215,11 @@ type regression struct {
 // violations and a human-readable report of every benchmark present in
 // both files.
 func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression, string) {
-	nextBy := map[string]Result{}
-	for _, b := range next.Benchmarks {
-		nextBy[b.Name] = b
-	}
 	var regs []regression
 	var report strings.Builder
 	for _, old := range base.Benchmarks {
 		isHot := hot.MatchString(old.Name)
-		nu, ok := nextBy[old.Name]
+		nu, ok := match(old, next.Benchmarks)
 		if !ok {
 			if isHot {
 				regs = append(regs, regression{old.Name, "missing from new run (renamed or deleted hot benchmark un-gates itself)"})
@@ -211,8 +231,12 @@ func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression
 		if isHot {
 			tag = "HOT "
 		}
-		fmt.Fprintf(&report, "%s%-46s %12.1f -> %12.1f ns/op (%+.1f%%)  allocs %d -> %d\n",
+		fmt.Fprintf(&report, "%s%-46s %12.1f -> %12.1f ns/op (%+.1f%%)  allocs %d -> %d",
 			tag, old.Name, old.NsPerOp, nu.NsPerOp, 100*delta, old.AllocsPerOp, nu.AllocsPerOp)
+		if old.Procs != nu.Procs {
+			fmt.Fprintf(&report, "  procs %d -> %d", old.Procs, nu.Procs)
+		}
+		report.WriteByte('\n')
 		if !isHot {
 			continue
 		}
@@ -233,6 +257,26 @@ func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].name < regs[j].name })
 	return regs, report.String()
+}
+
+// match finds old's counterpart among next: the same name, at the same
+// procs when next ran it at that setting, else at whichever setting next
+// has (the report shows both procs, so a cross-host pair is visible).
+func match(old Result, next []Result) (Result, bool) {
+	var found Result
+	ok := false
+	for _, nu := range next {
+		if nu.Name != old.Name {
+			continue
+		}
+		if nu.Procs == old.Procs {
+			return nu, true
+		}
+		if !ok {
+			found, ok = nu, true
+		}
+	}
+	return found, ok
 }
 
 func main() {

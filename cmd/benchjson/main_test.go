@@ -233,3 +233,71 @@ func runConvertString(t *testing.T, input, label, out string) error {
 	}
 	return runConvert([]string{in}, label, out)
 }
+
+func TestParseRecordsProcsAndHost(t *testing.T) {
+	f, err := parse(strings.NewReader(sampleBenchOutput + `BenchmarkChipCycle-1   100   500.0 ns/op   0 B/op   0 allocs/op
+BenchmarkStepCycle   100   70.0 ns/op   0 B/op   0 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != schemaID || f.NumCPU < 1 || !strings.HasPrefix(f.GoVersion, "go") {
+		t.Errorf("header = schema %q nproc %d go %q", f.Schema, f.NumCPU, f.GoVersion)
+	}
+	want := []struct {
+		name        string
+		procs, runs int
+		nsPerOp     float64
+	}{
+		{"BenchmarkChipCycle", 8, 3, 289.9},
+		{"BenchmarkPDNStep", 8, 2, 34.62},
+		{"BenchmarkCorpusBuild/workers=2", 8, 1, 35018003},
+		{"BenchmarkChipCycle", 1, 1, 500}, // another -cpu setting stays apart
+		{"BenchmarkStepCycle", 0, 1, 70},  // no suffix: procs unknown
+	}
+	if len(f.Benchmarks) != len(want) {
+		t.Fatalf("got %d benchmarks, want %d: %+v", len(f.Benchmarks), len(want), f.Benchmarks)
+	}
+	for i, w := range want {
+		b := f.Benchmarks[i]
+		if b.Name != w.name || b.Procs != w.procs || b.Runs != w.runs || b.NsPerOp != w.nsPerOp {
+			t.Errorf("benchmark %d = %s procs %d runs %d %g ns/op, want %+v", i, b.Name, b.Procs, b.Runs, b.NsPerOp, w)
+		}
+	}
+}
+
+func TestLoadAndCompareV1Baseline(t *testing.T) {
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "BENCH_1.json")
+	if err := os.WriteFile(v1, []byte(`{"schema":"vsmooth-bench/v1","goos":"linux","goarch":"amd64",
+"benchmarks":[{"name":"BenchmarkStepCycle","runs":5,"ns_per_op":250,"bytes_per_op":0,"allocs_per_op":0,"mem_reported":true}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := load(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Benchmarks[0].Procs != 0 || base.NumCPU != 0 {
+		t.Errorf("v1 file gained host fields: %+v", base)
+	}
+	// A v2 run matches the v1 baseline's unknown procs, and the report
+	// names the pair.
+	next := &File{Schema: schemaID, Benchmarks: []Result{
+		{Name: "BenchmarkStepCycle", Procs: 2, Runs: 1, NsPerOp: 70, MemReported: true},
+		{Name: "BenchmarkStepCycle", Procs: 4, Runs: 1, NsPerOp: 300, MemReported: true},
+	}}
+	if regs, report := compare(base, next, hotRE(t), 0.10); len(regs) != 0 || !strings.Contains(report, "250.0 ->         70.0") || !strings.Contains(report, "procs 0 -> 2") {
+		t.Errorf("v1 vs v2 compare: %v\n%s", regs, report)
+	}
+	// With both procs known, the same setting is the counterpart.
+	base.Benchmarks[0].Procs = 4
+	if regs, _ := compare(base, next, hotRE(t), 0.10); len(regs) != 1 {
+		t.Errorf("procs 4 baseline not compared with the procs 4 run (300 ns/op, +20%%): %v", regs)
+	}
+	if err := os.WriteFile(v1, []byte(`{"schema":"vsmooth-bench/v0","benchmarks":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(v1); err == nil {
+		t.Error("unknown schema loaded")
+	}
+}

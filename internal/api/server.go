@@ -325,11 +325,13 @@ func (s *Server) scanLoop() {
 	}
 }
 
-// scanOnce is one pass of the fleet scanner.
+// scanOnce is one pass of the fleet scanner. Jobs this process already
+// holds as terminal are not read again: no event leaves a terminal state,
+// so nothing the store says about them could change this process's view.
 func (s *Server) scanOnce() {
-	stored, err := s.store.Scan(func(format string, args ...any) {
+	stored, err := s.store.ScanSkipping(func(format string, args ...any) {
 		s.logf("fleet scan: "+format, args...)
-	})
+	}, s.knownTerminal)
 	if err != nil {
 		s.logf("fleet scan: %v", err)
 		return
@@ -389,6 +391,15 @@ func (s *Server) scanOnce() {
 			s.maybePreempt(jb)
 		}
 	}
+}
+
+// knownTerminal reports whether id is in the job table in a terminal
+// state.
+func (s *Server) knownTerminal(id string) bool {
+	s.mu.Lock()
+	jb := s.jobs[id]
+	s.mu.Unlock()
+	return jb != nil && jb.currentState().terminal()
 }
 
 // adoptResult installs a terminal state a peer worker persisted, so this

@@ -267,6 +267,14 @@ func (s *Store) quarantineResult(id string) error {
 // a half-created dir left by a crash mid-admission was never acked, so
 // dropping it breaks no promise.
 func (s *Store) Scan(warn func(format string, args ...any)) ([]StoredJob, error) {
+	return s.ScanSkipping(warn, nil)
+}
+
+// ScanSkipping is Scan with a skip predicate: jobs for which skip reports
+// true (the caller already holds them as terminal) are left out without
+// opening any of their files, so a fleet scan costs the jobs that can
+// still change, not the whole store. A nil skip reads every job.
+func (s *Store) ScanSkipping(warn func(format string, args ...any), skip func(id string) bool) ([]StoredJob, error) {
 	if warn == nil {
 		warn = func(string, ...any) {}
 	}
@@ -280,6 +288,9 @@ func (s *Store) Scan(warn func(format string, args ...any)) ([]StoredJob, error)
 			continue
 		}
 		id := e.Name()
+		if skip != nil && skip(id) {
+			continue
+		}
 		data, err := os.ReadFile(filepath.Join(s.jobDir(id), "job.json"))
 		if err != nil {
 			warn("job %s: unreadable job.json, skipping: %v", id, err)

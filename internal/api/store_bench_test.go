@@ -12,9 +12,10 @@ import (
 
 // BenchmarkStoreScan times Store.Scan — boot recovery's pass over the
 // store, and every fleet scan's — over 100, 1000 and 3000 finished `run
-// all` jobs carrying ~30 KB of renders each: with state records, and
-// without them (a store written before they existed, where every
-// result.json is parsed).
+// all` jobs carrying ~30 KB of renders each: with state records, without
+// them (a store written before they existed, where every result.json is
+// parsed), and as a fleet scan of a server that already holds every job
+// as terminal (ScanSkipping, which opens no job's files).
 func BenchmarkStoreScan(b *testing.B) {
 	spec, err := JobSpec{Experiments: []string{"all"}, Scale: "tiny"}.Validate()
 	if err != nil {
@@ -57,6 +58,18 @@ func BenchmarkStoreScan(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		known := make(map[string]bool, n)
+		for i := 1; i <= n; i++ {
+			known[JobID(i)] = true
+		}
+		b.Run(fmt.Sprintf("jobs=%d/known-terminal", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				jobs, err := st.ScanSkipping(nil, func(id string) bool { return known[id] })
+				if err != nil || len(jobs) != 0 {
+					b.Fatalf("scan: %d jobs, %v", len(jobs), err)
+				}
+			}
+		})
 		for _, records := range []bool{true, false} {
 			if !records {
 				for i := 1; i <= n; i++ {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -355,5 +356,82 @@ func TestWriteResultStateRecord(t *testing.T) {
 	jobs, err := st.Scan(func(format string, args ...any) { warned++ })
 	if err != nil || len(jobs) != 1 || jobs[0].State == nil || *jobs[0].State != want || warned != 1 {
 		t.Fatalf("scan over an invalid record: %+v (%v, %d warnings), want the state of result.json and one warning", jobs, err, warned)
+	}
+}
+
+// TestFleetScanSkipsKnownTerminalJobs pins the fleet scanner's skip: once
+// a peer's finished job is adopted, later scans neither reread its files
+// nor warn about them. Its job.json and state.json are corrupted after
+// adoption — a boot scan warns about both, so a reread could not pass
+// silently — and the scan must stay quiet while the job stays done.
+func TestFleetScanSkipsKnownTerminalJobs(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	s, err := New(Config{
+		Store:        st,
+		Fleet:        true,
+		WorkerID:     "worker-b",
+		ScanInterval: time.Hour, // scans are driven by hand below
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// A peer admits and finishes a job.
+	spec, err := JobSpec{Experiments: []string{"fig7"}, Scale: "tiny"}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := st.AllocateID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateJob(JobRecord{ID: id, Client: "peer", Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteResult(&Result{ID: id, State: StateDone, Renders: map[string]string{"fig7": "R"}, Units: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.scanOnce()
+	if !s.knownTerminal(id) {
+		t.Fatalf("job %s not adopted as terminal by the first scan", id)
+	}
+
+	for _, name := range []string{"job.json", "state.json"} {
+		if err := os.WriteFile(filepath.Join(st.jobDir(id), name), []byte("{not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bootWarnings := 0
+	if _, err := st.Scan(func(string, ...any) { bootWarnings++ }); err != nil || bootWarnings == 0 {
+		t.Fatalf("a full scan over the corrupted files gave %d warnings (%v), want some", bootWarnings, err)
+	}
+
+	mu.Lock()
+	logs = nil
+	mu.Unlock()
+	s.scanOnce()
+	s.scanOnce()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, id) {
+			t.Errorf("scan reread a known-terminal job: %q", l)
+		}
+	}
+	if st := s.jobs[id].currentState(); st != StateDone {
+		t.Errorf("job %s is %s after the scans, want %s", id, st, StateDone)
 	}
 }

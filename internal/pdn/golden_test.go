@@ -18,13 +18,16 @@ var updateGolden = flag.Bool("update", false, "rewrite golden kernel traces from
 // every execution-driven experiment sweeps.
 var goldenVariants = []ProcVariant{Proc100, Proc25, Proc3}
 
-// goldenTrace drives one network through the exact call mix the simulator
-// uses in production — StepCycle at the default substep count, raw Step at
-// the substep dt, single-substep cycles whose dt exceeds the stability
-// bound (exercising transparent subdivision), and oversized Step calls —
-// and records every returned die voltage as raw float64 bits. Any change
-// to the integrator's arithmetic, evaluation order, or state layout shows
-// up as a bit flip against the committed trace.
+// goldenTrace drives one network through the substep kernel stepN —
+// StepCycle at 6 substeps, raw Step at that substep dt, single-substep
+// cycles, and oversized Step calls — and records every returned die
+// voltage as raw float64 bits. Every one of these calls subdivides: a
+// sixth of the 1.86 GHz cycle is above the stability bound, so the
+// 6-substep StepCycle rows run stepN on a 12-step grid, not the
+// production 7-substep cycle map (TestCycleMapTracksSubstepKernel covers
+// that path against stepN). Any change to stepN's arithmetic, evaluation
+// order, or state layout shows up as a bit flip against the committed
+// trace.
 func goldenTrace(v ProcVariant) []uint64 {
 	p := Core2Duo().WithCapFraction(v.CapFraction)
 	n := NewAtLoad(p, 8)
@@ -37,7 +40,8 @@ func goldenTrace(v ProcVariant) []uint64 {
 	var bits []uint64
 	rec := func(val float64) { bits = append(bits, math.Float64bits(val)) }
 
-	// The production kernel: one chip cycle, default substep count.
+	// One chip cycle at 6 substeps (subdivided to 12 by the stability
+	// bound; the historical default substep count).
 	for i := 0; i < 240; i++ {
 		rec(n.StepCycle(cycle, load(i), 6))
 	}
@@ -52,7 +56,7 @@ func goldenTrace(v ProcVariant) []uint64 {
 	for i := 0; i < 24; i++ {
 		rec(n.Step(3*cycle, load(i)))
 	}
-	// Back to the default path after the dt changes above, so coefficient
+	// Back to 6-substep cycles after the dt changes above, so coefficient
 	// re-caching after a dt switch is covered too.
 	for i := 0; i < 60; i++ {
 		rec(n.StepCycle(cycle, load(i), 6))
@@ -66,10 +70,12 @@ func goldenPath(v ProcVariant) string {
 	return filepath.Join("testdata", "kernel_golden_"+v.Name+".txt")
 }
 
-// TestFusedKernelGolden pins the integrator output bit-for-bit. The
+// TestFusedKernelGolden pins the substep kernel stepN bit-for-bit. The
 // committed traces were generated from the pre-fusion three-stage
 // integrator; the fused kernel must reproduce them exactly (same IEEE-754
-// bits, not merely within tolerance) across all three decap variants.
+// bits, not merely within tolerance) across all three decap variants. It
+// never reaches StepCycle's production branch (7 substeps, inside the
+// stability bound, through the cycle map): see goldenTrace.
 // Regenerate with `go test ./internal/pdn -run TestFusedKernelGolden -update`
 // only when an intentional physics change is made, and say so in DESIGN §9.
 func TestFusedKernelGolden(t *testing.T) {
@@ -115,7 +121,8 @@ func TestFusedKernelGolden(t *testing.T) {
 }
 
 // TestStepZeroAllocs pins the zero-allocation contract of the hot kernel:
-// neither a raw substep nor a full default-substep cycle may allocate.
+// neither a raw substep, nor a subdivided cycle, nor a production
+// 7-substep cycle through the cycle map may allocate once the map is built.
 func TestStepZeroAllocs(t *testing.T) {
 	n := NewAtLoad(Core2Duo(), 20)
 	const cycle = 1 / 1.86e9
@@ -128,5 +135,10 @@ func TestStepZeroAllocs(t *testing.T) {
 		n.StepCycle(cycle, 24, 6)
 	}); avg != 0 {
 		t.Fatalf("Network.StepCycle allocates %.1f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		n.StepCycle(cycle, 24, 7)
+	}); avg != 0 {
+		t.Fatalf("Network.StepCycle through the cycle map allocates %.1f allocs/op, want 0", avg)
 	}
 }

@@ -30,8 +30,10 @@
 //
 //   - An exact frequency-domain impedance solve (Impedance) using complex
 //     arithmetic, used to reconstruct the Fig 4 impedance profile.
-//   - A time-domain transient simulation (StepCycle) using semi-implicit
-//     Euler integration, used for every execution-driven experiment.
+//   - A time-domain transient simulation (Step, StepCycle) using
+//     semi-implicit Euler integration, used for every execution-driven
+//     experiment. StepCycle applies a whole cycle of substeps as one
+//     precomposed affine map.
 //
 // A property-based test cross-checks the two against each other.
 package pdn
@@ -245,6 +247,11 @@ type Network struct {
 	det                float64 // determinant of the ESR1-coupled block
 	ffA                float64 // clamped dt/RegFeedforwardTau EMA factor
 	kI                 float64 // dt · 2π · RegIntegralHz integral gain
+
+	// cmap is StepCycle's precomposed cycle for the last (dt, substeps)
+	// it ran. A rebuild allocates a new map and a built one never
+	// changes, so a by-value copy of the Network shares it safely.
+	cmap *cycleMap
 }
 
 // refreshCoefs recomputes the dt-dependent kernel coefficients. Every
@@ -359,15 +366,19 @@ func (n *Network) SettleAt(iLoad float64) {
 	n.steadyLoad = iLoad
 }
 
-// ripple returns the VRM sawtooth ripple voltage at time t.
+// ripple returns the VRM sawtooth ripple voltage at time t; callers skip
+// it when hasRipple is false.
+//
+// The VRM sawtooth is injected at the sense point: the ladder's bulk stage
+// would low-pass a source-side ripple far below what the paper observes
+// riding on the die voltage (Fig 11), because physically the ripple is a
+// current-mode artifact of the switching regulator. It is a background
+// overlay and does not feed back into the network state.
 func (n *Network) ripple(t float64) float64 {
-	if n.p.RippleAmp == 0 || n.p.RippleFreq == 0 {
-		return 0
-	}
-	phase := t * n.p.RippleFreq
+	phase := t * n.rippleFreq
 	frac := phase - math.Floor(phase)
 	// Symmetric sawtooth in [-amp, +amp].
-	return n.p.RippleAmp * (2*frac - 1)
+	return n.rippleAmp * (2*frac - 1)
 }
 
 // Step advances the network by dt seconds with the die drawing iLoad
@@ -400,7 +411,7 @@ func (n *Network) Step(dt, iLoad float64) float64 {
 	return n.stepN(dt, iLoad, 1)
 }
 
-// stepN is the fused kernel: k semi-implicit substeps at a dt whose
+// stepN is the fused kernel: k ≥ 1 semi-implicit substeps at a dt whose
 // coefficients are already cached (callers must refreshCoefs on a dt
 // change). The entire network state is hoisted into locals once, iterated
 // on in registers/stack slots for all k substeps, and written back once —
@@ -408,7 +419,8 @@ func (n *Network) Step(dt, iLoad float64) float64 {
 // stores through the receiver (which would otherwise force the compiler
 // to re-load every field each substep). Each substep performs the exact
 // arithmetic of the pre-fusion integrator in the exact order, so the
-// trajectory is bit-identical (pinned by TestFusedKernelGolden).
+// trajectory is bit-identical (pinned by TestFusedKernelGolden). It is
+// also the reference the cycle map is checked against.
 func (n *Network) stepN(dt, iLoad float64, k int) float64 {
 	// State, hoisted for the whole fused run.
 	iL0, iL1, iL2, iLb := n.iL0, n.iL1, n.iL2, n.iLb
@@ -425,7 +437,6 @@ func (n *Network) stepN(dt, iLoad float64, k int) float64 {
 	c2, esl2 := n.c2, n.esl2
 	pESR3, pVNom, rTotal := n.pESR3, n.pVNom, n.rTotal
 	ffA, kI, regP, regLimit := n.ffA, n.kI, n.regP, n.regLimit
-	rippleAmp, rippleFreq := n.rippleAmp, n.rippleFreq
 	hasFF, hasReg, hasRipple := n.hasFF, n.hasReg, n.hasRipple
 
 	for ; k > 0; k-- {
@@ -480,17 +491,11 @@ func (n *Network) stepN(dt, iLoad float64, k int) float64 {
 				regErr = err
 			}
 		}
-		// The VRM sawtooth is injected at the sense point: the ladder's
-		// bulk stage would low-pass a source-side ripple far below what
-		// the paper observes riding on the die voltage (Fig 11), because
-		// physically the ripple is a current-mode artifact of the
-		// switching regulator. It is a background overlay and does not
-		// feed back into the network state.
-		if hasRipple {
-			phase := t * rippleFreq
-			frac := phase - math.Floor(phase)
-			v += rippleAmp * (2*frac - 1)
-		}
+	}
+	// Each substep overwrites v, so only the last substep's ripple
+	// survives: overlay it once, at the final t.
+	if hasRipple {
+		v += n.ripple(t)
 	}
 
 	// Write the evolved state back.
@@ -507,9 +512,11 @@ func (n *Network) stepN(dt, iLoad float64, k int) float64 {
 // seconds, integrating with `substeps` internal steps while the die draws
 // iLoad amperes. It returns the die voltage at the end of the cycle.
 //
-// This is the per-cycle entry point of the chip simulator; the coefficient
-// check runs once per cycle (not per substep), and the default substep
-// count gets a fully unrolled call sequence.
+// This is the per-cycle entry point of the chip simulator. When the
+// substep is inside the stability bound (the production case), the cycle
+// runs as one precomposed affine map (cyclemap.go), falling back to the
+// substep kernel stepN whenever the regulator's anti-windup clamp could
+// engage within the cycle.
 func (n *Network) StepCycle(cycleTime, iLoad float64, substeps int) float64 {
 	if substeps < 1 {
 		substeps = 1
@@ -533,10 +540,15 @@ func (n *Network) StepCycle(cycleTime, iLoad float64, substeps int) float64 {
 		if dt != n.coefDt {
 			n.refreshCoefs(dt)
 		}
-		// One fused kernel call for the whole cycle: state stays in
-		// registers across every substep instead of round-tripping
-		// through the struct once per substep.
-		v = n.stepN(dt, iLoad, substeps)
+		m := n.cmap
+		if m == nil || m.dt != dt || m.k != substeps {
+			m = n.buildCycleMap(dt, substeps)
+			n.cmap = m
+		}
+		var ok bool
+		if v, ok = n.stepCycleMap(m, iLoad); !ok {
+			v = n.stepN(dt, iLoad, substeps)
+		}
 	}
 	if c := stepCounter.Load(); c != nil {
 		c.Add(uint64(substeps))
