@@ -14,7 +14,8 @@
 // minimum (the least-interference estimate of the true cost), allocs/op
 // and B/op keep the maximum (they are deterministic on a healthy hot path,
 // so any spread is itself suspicious and the gate should see the worst).
-// The `-N` GOMAXPROCS suffix of each result line is kept as `procs`, so
+// The `-N` GOMAXPROCS suffix of each result line is kept as `procs` (a
+// line without one ran at GOMAXPROCS 1, the only case go test omits it), so
 // runs at different -cpu settings stay apart, and the file records the
 // converting host's CPU count and Go version: an ns/op means little
 // without the machine it came from. Files of the v1 schema, which had
@@ -56,8 +57,9 @@ import (
 // Result is one benchmark's aggregated measurement.
 type Result struct {
 	Name string `json:"name"`
-	// Procs is the GOMAXPROCS the benchmark ran at (its `-N` name
-	// suffix); 0 when unknown (v1 files, or a line without the suffix).
+	// Procs is the GOMAXPROCS the benchmark ran at: its `-N` name
+	// suffix, or 1 for a line without one (go test omits the suffix
+	// only at GOMAXPROCS 1). 0 means unknown, as in v1 files.
 	Procs       int     `json:"procs,omitempty"`
 	Runs        int     `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -125,7 +127,7 @@ func parse(r io.Reader) (*File, error) {
 		if m == nil {
 			continue
 		}
-		k := key{name: m[1]}
+		k := key{name: m[1], procs: 1}
 		if m[2] != "" {
 			k.procs, _ = strconv.Atoi(m[2])
 		}

@@ -235,8 +235,9 @@ func runConvertString(t *testing.T, input, label, out string) error {
 }
 
 func TestParseRecordsProcsAndHost(t *testing.T) {
-	f, err := parse(strings.NewReader(sampleBenchOutput + `BenchmarkChipCycle-1   100   500.0 ns/op   0 B/op   0 allocs/op
-BenchmarkStepCycle   100   70.0 ns/op   0 B/op   0 allocs/op
+	// go test leaves the suffix off only at GOMAXPROCS 1 (-cpu 1).
+	f, err := parse(strings.NewReader(sampleBenchOutput + `BenchmarkChipCycle   100   500.0 ns/op   0 B/op   0 allocs/op
+BenchmarkStepCycle-2   100   70.0 ns/op   0 B/op   0 allocs/op
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +253,8 @@ BenchmarkStepCycle   100   70.0 ns/op   0 B/op   0 allocs/op
 		{"BenchmarkChipCycle", 8, 3, 289.9},
 		{"BenchmarkPDNStep", 8, 2, 34.62},
 		{"BenchmarkCorpusBuild/workers=2", 8, 1, 35018003},
-		{"BenchmarkChipCycle", 1, 1, 500}, // another -cpu setting stays apart
-		{"BenchmarkStepCycle", 0, 1, 70},  // no suffix: procs unknown
+		{"BenchmarkChipCycle", 1, 1, 500}, // no suffix: -cpu 1, kept apart
+		{"BenchmarkStepCycle", 2, 1, 70},
 	}
 	if len(f.Benchmarks) != len(want) {
 		t.Fatalf("got %d benchmarks, want %d: %+v", len(f.Benchmarks), len(want), f.Benchmarks)

@@ -37,27 +37,40 @@ type cycleMap struct {
 }
 
 // buildCycleMap composes k substeps at dt (whose coefficients
-// refreshCoefs has already cached) into a cycle map. Column j of A is the
-// unit state e_j pushed through k unclamped substeps with no load and no
-// supply; b is a unit load pushed through the same; c is the supply
-// alone (every VNom term scaled by a constant input of 1).
+// refreshCoefs has already cached) into a cycle map by driving stepN
+// itself, so the substep arithmetic has one implementation. A scratch
+// copy of the network with the clamp lifted and the ripple off is exactly
+// affine per substep. Column j of A is the unit state e_j pushed through
+// k substeps with no load and no supply (VNom = 0); b is a unit load
+// pushed through the same; c is the supply alone (VNom kept, zero state,
+// no load).
 func (n *Network) buildCycleMap(dt float64, k int) *cycleMap {
 	m := &cycleMap{dt: dt, k: k, kIk: float64(k) * n.kI}
+	s := *n
+	s.hasRipple = false
+	s.regLimit = math.Inf(1)
 	for col := 0; col < nState+2; col++ {
 		var x [nState]float64
-		iLoad, one := 0.0, 0.0
+		iLoad := 0.0
+		s.pVNom = 0
 		switch {
 		case col < nState:
 			x[col] = 1
 		case col == nState:
 			iLoad = 1
 		default:
-			one = 1
+			s.pVNom = n.pVNom
 		}
+		s.iL0, s.iL1, s.iL2, s.iLb = x[0], x[1], x[2], x[3]
+		s.vC1, s.vP, s.vCb, s.vC3 = x[4], x[5], x[6], x[7]
+		s.iEMA, s.regBias, s.regErr = x[8], x[9], x[10]
 		bound := 0.0
-		for s := 0; s < k; s++ {
-			bound = math.Max(bound, math.Abs(n.affineSubstep(&x, dt, iLoad, one)))
+		for i := 0; i < k; i++ {
+			v := s.stepN(dt, iLoad, 1)
+			bound = math.Max(bound, math.Abs(s.pVNom-v))
 		}
+		x = [nState]float64{s.iL0, s.iL1, s.iL2, s.iLb,
+			s.vC1, s.vP, s.vCb, s.vC3, s.iEMA, s.regBias, s.regErr}
 		switch {
 		case col < nState:
 			m.a[col], m.errA[col] = x, bound
@@ -68,51 +81,6 @@ func (n *Network) buildCycleMap(dt float64, k int) *cycleMap {
 		}
 	}
 	return m
-}
-
-// affineSubstep is one substep of stepN's arithmetic without the
-// anti-windup clamp and with every VNom term scaled by one, applied to x
-// in place. It returns the regulator error of the substep (VNom·one − v).
-// With one = 0 it is linear in (x, iLoad); with x = 0 and iLoad = 0 it is
-// the supply's own contribution.
-func (n *Network) affineSubstep(x *[nState]float64, dt, iLoad, one float64) float64 {
-	iL0, iL1, iL2, iLb := x[0], x[1], x[2], x[3]
-	vC1, vP, vCb, vC3 := x[4], x[5], x[6], x[7]
-	iEMA, regBias, regErr := x[8], x[9], x[10]
-
-	ff := 0.0
-	if n.hasFF {
-		iEMA += n.ffA * (iLoad - iEMA)
-		ff = iEMA * n.rTotal
-	}
-	vReg := n.pVNom*one + ff + regBias + n.regP*regErr
-
-	d0 := iL0 + dt*(vReg-vC1)/n.pL0
-	d1 := iL1 + dt*(vC1-vP)/n.pL1
-	d2 := iL2 + dt*(vP-vC3+n.pESR3*iLoad)/n.pL2
-	db := iLb + dt*(vP-vCb)/n.esl2
-
-	iL0, iL1 = (d0*n.cb1-n.cc0*d1)/n.det, (n.cb0*d1-n.ca1*d0)/n.det
-	iL2 = d2 / n.cb2
-	iLb = db / n.cbb
-
-	iC3 := iL2 - iLoad
-	vC1 += dt * (iL0 - iL1) / n.pC1
-	vP += dt * (iL1 - iL2 - iLb) / n.pCPl
-	vCb += dt * iLb / n.c2
-	vC3 += dt * iC3 / n.pC3
-
-	err := n.pVNom*one - (vC3 + n.pESR3*iC3)
-	if n.hasReg {
-		regBias += n.kI * err
-		if n.hasFF {
-			regErr += n.ffA * (err - regErr)
-		} else {
-			regErr = err
-		}
-	}
-	*x = [nState]float64{iL0, iL1, iL2, iLb, vC1, vP, vCb, vC3, iEMA, regBias, regErr}
-	return err
 }
 
 // clampClear reports whether the regulator's anti-windup clamp stays out

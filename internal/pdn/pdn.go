@@ -420,7 +420,8 @@ func (n *Network) Step(dt, iLoad float64) float64 {
 // to re-load every field each substep). Each substep performs the exact
 // arithmetic of the pre-fusion integrator in the exact order, so the
 // trajectory is bit-identical (pinned by TestFusedKernelGolden). It is
-// also the reference the cycle map is checked against.
+// also what the cycle map is built from (buildCycleMap drives it on a
+// scratch copy) and the reference the map is checked against.
 func (n *Network) stepN(dt, iLoad float64, k int) float64 {
 	// State, hoisted for the whole fused run.
 	iL0, iL1, iL2, iLb := n.iL0, n.iL1, n.iL2, n.iLb
